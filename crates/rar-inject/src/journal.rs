@@ -22,6 +22,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use rar_core::{FaultTarget, PlannedFault};
+use rar_trace::jsonv;
 
 use crate::outcome::Outcome;
 
@@ -55,32 +56,20 @@ impl JournalRecord {
     /// decides whether that is a tolerable torn tail or corruption).
     #[must_use]
     pub fn parse_line(line: &str) -> Option<JournalRecord> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return None;
-        }
+        let doc = jsonv::parse(line).ok()?;
+        let u64_at = |key: &str| doc.get(key)?.as_u64();
+        let str_at = |key: &str| doc.get(key)?.as_str();
         Some(JournalRecord {
-            k: field(line, "k")?.parse().ok()?,
+            k: u64_at("k")?,
             fault: PlannedFault {
-                cycle: field(line, "cycle")?.parse().ok()?,
-                target: FaultTarget::parse(field(line, "target")?)?,
-                entry: field(line, "entry")?.parse().ok()?,
-                bit: field(line, "bit")?.parse().ok()?,
+                cycle: u64_at("cycle")?,
+                target: FaultTarget::parse(str_at("target")?)?,
+                entry: u64_at("entry")?,
+                bit: u64_at("bit")?,
             },
-            outcome: Outcome::parse(field(line, "outcome")?)?,
+            outcome: Outcome::parse(str_at("outcome")?)?,
         })
     }
-}
-
-/// Extracts the raw value of `"key":` from a flat one-line JSON object,
-/// with surrounding quotes stripped. Sufficient for the journal's own
-/// fixed schema; not a general JSON parser.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 /// Why a proposed journal path cannot be used — diagnosed *before* a

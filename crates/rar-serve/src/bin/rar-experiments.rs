@@ -1062,7 +1062,7 @@ fn client_cmd(cmd: &str, args: &[String]) -> ExitCode {
                     .ok_or_else(|| std::io::Error::other("submit response had no id"))?;
                 let done = client.wait_for_job(id, std::time::Duration::from_secs(timeout_secs))?;
                 print!("{}", done.body);
-                if !done.body.contains("\"status\":\"completed\"") {
+                if rar_serve::jobs::field(&done.body, "status") != Some("completed") {
                     return Err(std::io::Error::other("job did not complete"));
                 }
                 if let Some(path) = &out {

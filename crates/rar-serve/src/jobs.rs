@@ -4,17 +4,21 @@
 //! product of workloads × techniques × seeds), an `inject` campaign (the
 //! same paired OoO/RAR cross-validation experiment the `inject` CLI
 //! subcommand runs, so daemon output diffs byte-identically against CLI
-//! goldens), and `single` — sugar for a one-cell sweep. Specs parse from
-//! and render to flat JSON with the same hand-rolled discipline as the
-//! `rar-inject` journal: we control both producer and consumer, so a
-//! fixed schema beats a general parser.
+//! goldens), and `single` — sugar for a one-cell sweep.
 //!
-//! Rendering and parsing round-trip exactly — the queue journal persists
-//! specs through [`JobSpec::to_json`], and a restarted daemon re-parses
-//! them with [`JobSpec::parse`].
+//! A spec is one flat JSON object. Request bodies are read with the
+//! workspace's JSON reader, [`rar_trace::jsonv`], so they may use any
+//! valid JSON whitespace, key order and string escapes; unknown members
+//! are ignored and a duplicate member is an error. Rendering and parsing
+//! round-trip exactly — the queue journal persists specs through
+//! [`JobSpec::to_json`], and a restarted daemon re-parses them with
+//! [`JobSpec::parse`].
+
+use std::borrow::Cow;
 
 use rar_core::Technique;
 use rar_sim::SimConfig;
+use rar_trace::jsonv::{self, escape, Value};
 
 /// A job's lifecycle phase, as reported by `GET /v1/jobs/{id}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,8 +159,11 @@ impl JobSpec {
     pub fn to_json(&self) -> String {
         match &self.kind {
             JobKind::Sweep(s) => {
-                let workloads: Vec<String> =
-                    s.workloads.iter().map(|w| format!("\"{w}\"")).collect();
+                let workloads: Vec<String> = s
+                    .workloads
+                    .iter()
+                    .map(|w| format!("\"{}\"", escape(w)))
+                    .collect();
                 let techniques: Vec<String> = s
                     .techniques
                     .iter()
@@ -177,7 +184,7 @@ impl JobSpec {
             JobKind::Inject(i) => format!(
                 "{{\"kind\":\"inject\",\"priority\":{},\"workload\":\"{}\",\
                  \"samples\":{},\"inject_seed\":{},\"instructions\":{},\"warmup\":{},\"threads\":{}}}",
-                self.priority, i.workload, i.samples, i.inject_seed, i.instructions, i.warmup, i.threads
+                self.priority, escape(&i.workload), i.samples, i.inject_seed, i.instructions, i.warmup, i.threads
             ),
         }
     }
@@ -186,57 +193,54 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first problem found (unknown
-    /// kind, missing field, empty axis, unknown technique).
+    /// A human-readable description of the first problem found (not a
+    /// JSON object, unknown kind, missing or mistyped field, empty axis,
+    /// unknown technique).
     pub fn parse(text: &str) -> Result<JobSpec, String> {
-        let text = text.trim();
-        if !text.starts_with('{') || !text.ends_with('}') {
+        let doc = jsonv::parse(text).map_err(|e| format!("job spec must be a JSON object: {e}"))?;
+        JobSpec::from_value(&doc)
+    }
+
+    /// Reads a spec from an already-parsed JSON value, such as the
+    /// `"spec"` member of a queue-journal line.
+    pub(crate) fn from_value(doc: &Value<'_>) -> Result<JobSpec, String> {
+        if !matches!(doc, Value::Object(_)) {
             return Err("job spec must be a JSON object".to_owned());
         }
-        let priority = field(text, "priority")
-            .map(|v| v.parse().map_err(|_| format!("bad priority {v:?}")))
-            .transpose()?
-            .unwrap_or(0);
-        let instructions = u64_field(text, "instructions")?.unwrap_or(2_000);
-        let warmup = u64_field(text, "warmup")?.unwrap_or(300);
-        match field(text, "kind") {
+        let str_member = |key| member(doc, key, Value::as_str);
+        let u64_member = |key| member(doc, key, Value::as_u64);
+        let priority = member(doc, "priority", Value::as_i64)?.unwrap_or(0);
+        let instructions = u64_member("instructions")?.unwrap_or(2_000);
+        let warmup = u64_member("warmup")?.unwrap_or(300);
+        match str_member("kind")? {
             Some("sweep") => {
-                let workloads =
-                    str_list(text, "workloads").ok_or("sweep requires \"workloads\": [..]")?;
-                let technique_names =
-                    str_list(text, "techniques").ok_or("sweep requires \"techniques\": [..]")?;
+                let workloads = array_member(doc, "workloads", Value::as_str)?
+                    .ok_or("sweep requires \"workloads\": [..]")?;
+                let technique_names = array_member(doc, "techniques", Value::as_str)?
+                    .ok_or("sweep requires \"techniques\": [..]")?;
                 if workloads.is_empty() || technique_names.is_empty() {
                     return Err("sweep axes must be non-empty".to_owned());
                 }
-                let techniques = parse_techniques(&technique_names)?;
-                let seeds = u64_list(text, "seeds")?.unwrap_or_default();
                 Ok(JobSpec {
                     priority,
                     kind: JobKind::Sweep(SweepJob {
-                        workloads,
-                        techniques,
-                        seeds,
+                        workloads: workloads.into_iter().map(str::to_owned).collect(),
+                        techniques: parse_techniques(&technique_names)?,
+                        seeds: array_member(doc, "seeds", Value::as_u64)?.unwrap_or_default(),
                         instructions,
                         warmup,
                     }),
                 })
             }
             Some("single") => {
-                let workload = field(text, "workload")
-                    .ok_or("single requires \"workload\"")?
-                    .to_owned();
-                let technique_name = field(text, "technique").unwrap_or("rar");
-                let techniques = parse_techniques(&[technique_name.to_owned()])?;
-                let seeds = match u64_field(text, "seed")? {
-                    Some(s) => vec![s],
-                    None => Vec::new(),
-                };
+                let workload = str_member("workload")?.ok_or("single requires \"workload\"")?;
+                let technique = str_member("technique")?.unwrap_or("rar");
                 Ok(JobSpec {
                     priority,
                     kind: JobKind::Sweep(SweepJob {
-                        workloads: vec![workload],
-                        techniques,
-                        seeds,
+                        workloads: vec![workload.to_owned()],
+                        techniques: parse_techniques(&[technique])?,
+                        seeds: u64_member("seed")?.into_iter().collect(),
                         instructions,
                         warmup,
                     }),
@@ -245,14 +249,14 @@ impl JobSpec {
             Some("inject") => Ok(JobSpec {
                 priority,
                 kind: JobKind::Inject(InjectJob {
-                    workload: field(text, "workload")
+                    workload: str_member("workload")?
                         .ok_or("inject requires \"workload\"")?
                         .to_owned(),
-                    samples: u64_field(text, "samples")?.unwrap_or(1_000),
-                    inject_seed: u64_field(text, "inject_seed")?.unwrap_or(1),
+                    samples: u64_member("samples")?.unwrap_or(1_000),
+                    inject_seed: u64_member("inject_seed")?.unwrap_or(1),
                     instructions,
                     warmup,
-                    threads: usize::try_from(u64_field(text, "threads")?.unwrap_or(1))
+                    threads: usize::try_from(u64_member("threads")?.unwrap_or(1))
                         .map_err(|_| "bad threads".to_owned())?
                         .max(1),
                 }),
@@ -263,67 +267,69 @@ impl JobSpec {
     }
 }
 
-fn parse_techniques(names: &[String]) -> Result<Vec<Technique>, String> {
+fn parse_techniques(names: &[&str]) -> Result<Vec<Technique>, String> {
     names
         .iter()
         .map(|n| Technique::parse(n).ok_or_else(|| format!("unknown technique {n:?}")))
         .collect()
 }
 
-/// Extracts the raw value of `"key":` from a flat JSON object, quotes
-/// stripped. Skips occurrences inside arrays by requiring the match at
-/// the top nesting level of the object.
-#[must_use]
-pub fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}'])?;
-    let value = rest[..end].trim().trim_matches('"');
-    Some(value)
-}
-
-/// [`field`] parsed as `u64`; distinguishes absent (`Ok(None)`) from
-/// malformed (`Err`).
-///
-/// # Errors
-///
-/// The key is present but its value does not parse as `u64`.
-pub fn u64_field(text: &str, key: &str) -> Result<Option<u64>, String> {
-    field(text, key)
-        .map(|v| v.parse().map_err(|_| format!("bad {key} {v:?}")))
+/// The member `key` of `doc` read by `read`: `Ok(None)` when absent, an
+/// error when present with the wrong type.
+fn member<'v, 'a, T>(
+    doc: &'v Value<'a>,
+    key: &str,
+    read: impl Fn(&'v Value<'a>) -> Option<T>,
+) -> Result<Option<T>, String> {
+    doc.get(key)
+        .map(|v| read(v).ok_or_else(|| format!("bad {key} {v:?}")))
         .transpose()
 }
 
-/// Extracts `"key": [...]` and returns the raw bracket contents.
-fn list<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest.find(']')?;
-    Some(&rest[..end])
-}
-
-fn str_list(text: &str, key: &str) -> Option<Vec<String>> {
-    let raw = list(text, key)?;
-    Some(
-        raw.split(',')
-            .map(|s| s.trim().trim_matches('"').to_owned())
-            .filter(|s| !s.is_empty())
-            .collect(),
-    )
-}
-
-fn u64_list(text: &str, key: &str) -> Result<Option<Vec<u64>>, String> {
-    let Some(raw) = list(text, key) else {
+/// The array member `key` of `doc`, each element read by `read`.
+fn array_member<'v, 'a, T>(
+    doc: &'v Value<'a>,
+    key: &str,
+    read: impl Fn(&'v Value<'a>) -> Option<T>,
+) -> Result<Option<Vec<T>>, String> {
+    let Some(items) = member(doc, key, Value::as_array)? else {
         return Ok(None);
     };
-    raw.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().map_err(|_| format!("bad {key} entry {s:?}")))
-        .collect::<Result<Vec<u64>, String>>()
+    items
+        .iter()
+        .map(|v| read(v).ok_or_else(|| format!("bad {key} entry {v:?}")))
+        .collect::<Result<Vec<T>, String>>()
         .map(Some)
+}
+
+/// The raw text of the top-level scalar member `key` of the JSON object
+/// `text`: a string's contents, a number's token, or `true`, `false` or
+/// `null`. `None` when `text` is not valid JSON, or the member is absent,
+/// is an array or object, or is a string holding escape sequences (read
+/// those with [`rar_trace::jsonv`]).
+#[must_use]
+pub fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    match jsonv::parse(text).ok()?.get(key)? {
+        Value::String(Cow::Borrowed(s)) | Value::Number(s) => Some(s),
+        Value::Bool(true) => Some("true"),
+        Value::Bool(false) => Some("false"),
+        Value::Null => Some("null"),
+        _ => None,
+    }
+}
+
+/// The top-level member `key` of the JSON object `text` as a `u64`;
+/// distinguishes absent (`Ok(None)`, also when `text` is not valid JSON)
+/// from malformed (`Err`).
+///
+/// # Errors
+///
+/// The key is present but its value is not a `u64` number.
+pub fn u64_field(text: &str, key: &str) -> Result<Option<u64>, String> {
+    match jsonv::parse(text) {
+        Ok(doc) => member(&doc, key, Value::as_u64),
+        Err(_) => Ok(None),
+    }
 }
 
 #[cfg(test)]
@@ -357,6 +363,41 @@ mod tests {
             }),
         };
         for spec in [sweep_spec(), inject] {
+            let json = spec.to_json();
+            assert_eq!(JobSpec::parse(&json), Ok(spec), "{json}");
+        }
+
+        // Bodies from other writers: Python `json.dumps` whitespace, a
+        // nested member and a key name inside a string value ahead of the
+        // real key, and `,`, `}` and `"` inside string values.
+        let single = |workload: &str| JobSpec {
+            priority: 0,
+            kind: JobKind::Sweep(SweepJob {
+                workloads: vec![workload.to_owned()],
+                techniques: vec![Technique::Rar],
+                seeds: Vec::new(),
+                instructions: 2_000,
+                warmup: 300,
+            }),
+        };
+        let dumps = "{\"kind\": \"sweep\", \"priority\": 5, \"workloads\": [\"mcf\", \"milc\"], \
+                     \"techniques\": [\"ooo\", \"rar\"], \"seeds\": [1, 2]}";
+        assert_eq!(JobSpec::parse(dumps).map(|s| s.total_units()), Ok(8));
+        for (body, spec) in [
+            (dumps, sweep_spec()),
+            (
+                "{\"note\": \"\\\"workload\\\": \\\"lbm\\\"\", \"kind\": \"single\", \"workload\": \"mcf\"}",
+                single("mcf"),
+            ),
+            (
+                "{\"kind\":\"single\",\"meta\":{\"workload\":\"lbm\"},\"workload\":\"mcf\"}",
+                single("mcf"),
+            ),
+            ("{\"kind\":\"single\",\"workload\":\"mcf, milc\"}", single("mcf, milc")),
+            ("{\"kind\":\"single\",\"workload\":\"{mcf}\"}", single("{mcf}")),
+            ("{\"kind\":\"single\",\"workload\":\"a\\\"b\"}", single("a\"b")),
+        ] {
+            assert_eq!(JobSpec::parse(body).as_ref(), Ok(&spec), "{body}");
             let json = spec.to_json();
             assert_eq!(JobSpec::parse(&json), Ok(spec), "{json}");
         }
@@ -404,6 +445,16 @@ mod tests {
                 "unknown technique",
             ),
             ("{\"kind\":\"inject\"}", "requires \"workload\""),
+            (
+                "{\"kind\":\"single\",\"kind\":\"inject\",\"workload\":\"mcf\"}",
+                "duplicate",
+            ),
+            ("{\"kind\":\"single\",\"workload\":\"mcf\",}", "JSON object"),
+            ("{\"kind\":\"single\",\"workload\":\"mcf\",\"seed\":\"7\"}", "bad seed"),
+            (
+                "{\"kind\": \"sweep\", \"workloads\": [\"mcf\"], \"techniques\": [\"rar\"], \"seeds\": [1, -2]}",
+                "bad seeds entry",
+            ),
         ] {
             let err = JobSpec::parse(body).expect_err(body);
             assert!(err.contains(needle), "{body}: {err}");

@@ -25,7 +25,9 @@ use std::sync::{Condvar, Mutex};
 use rar_chaos::{retry_with_backoff, sites, RetryPolicy};
 use rar_telemetry::Counter;
 
-use crate::jobs::{field, JobPhase, JobSpec};
+use rar_trace::jsonv;
+
+use crate::jobs::{JobPhase, JobSpec};
 
 /// One queued job: identity plus spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -390,15 +392,11 @@ enum QueueEvent {
 }
 
 fn parse_event(line: &str) -> Option<QueueEvent> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    let id: u64 = field(line, "id")?.parse().ok()?;
-    match field(line, "event")? {
+    let doc = jsonv::parse(line).ok()?;
+    let id = doc.get("id")?.as_u64()?;
+    match doc.get("event")?.as_str()? {
         "submitted" => {
-            let spec_start = line.find("\"spec\":")? + "\"spec\":".len();
-            let spec = JobSpec::parse(&line[spec_start..line.len() - 1]).ok()?;
+            let spec = JobSpec::from_value(doc.get("spec")?).ok()?;
             Some(QueueEvent::Submitted(QueuedJob { id, spec }))
         }
         "completed" | "canceled" | "failed" => Some(QueueEvent::Terminal(id)),

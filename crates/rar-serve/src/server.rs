@@ -259,7 +259,7 @@ impl JobHandle {
         }
         if let Some(err) = &st.error {
             out.push_str(",\"error\":\"");
-            out.push_str(&escape_json(err));
+            out.push_str(&rar_trace::jsonv::escape(err));
             out.push('"');
         }
         if let Some(flight) = &st.flight {
@@ -301,23 +301,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// Minimal JSON string escaping for error messages.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct ServerInner {
@@ -1261,12 +1244,5 @@ mod tests {
         for name in names::SERVE_ALL {
             assert!(text.contains(name), "{name} missing from first scrape");
         }
-    }
-
-    #[test]
-    fn escape_json_handles_quotes_and_control_characters() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("line\nbreak\t\u{1}"), "line\\nbreak\\t\\u0001");
     }
 }

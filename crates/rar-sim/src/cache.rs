@@ -28,6 +28,7 @@ use rar_ace::{ReliabilityReport, Structure};
 use rar_core::{CoreStats, Technique};
 use rar_frontend::PredictorStats;
 use rar_mem::MemStats;
+use rar_trace::jsonv::{self, escape, Value};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -168,14 +169,13 @@ fn predictor_fields(p: &PredictorStats) -> [(&'static str, u64); 3] {
     ]
 }
 
-/// Renders one entry. Keys are flat and dotted so every key in the file
-/// is globally unique — the strict decoder depends on that.
+/// Renders one entry: a single flat object with dotted keys.
 fn encode(cfg: &SimConfig, r: &SimResult) -> String {
     let mut out = String::with_capacity(2048);
     out.push_str("{\n");
     let _ = writeln!(out, "  \"rar_cache_version\": {CACHE_VERSION},");
     let _ = writeln!(out, "  \"fingerprint\": \"{}\",", cfg.fingerprint());
-    let _ = writeln!(out, "  \"workload\": \"{}\",", r.workload);
+    let _ = writeln!(out, "  \"workload\": \"{}\",", escape(&r.workload));
     let _ = writeln!(out, "  \"technique\": \"{}\",", r.technique);
     for (k, v) in core_fields(&r.stats) {
         let _ = writeln!(out, "  \"{k}\": {v},");
@@ -229,18 +229,23 @@ fn write_u128_array(out: &mut String, key: &str, values: &[u128]) {
 }
 
 /// Strictly decodes one entry for `cfg`; any defect yields `None`.
+/// The entry must be one well-formed JSON object without duplicate keys.
 fn decode(text: &str, cfg: &SimConfig) -> Option<SimResult> {
-    if field_u64(text, "rar_cache_version")? != CACHE_VERSION {
+    let doc = jsonv::parse(text).ok()?;
+    let u64_at = |key: &str| doc.get(key)?.as_u64();
+    let u128_at = |key: &str| doc.get(key)?.as_u128();
+    let str_at = |key: &str| doc.get(key)?.as_str();
+    if u64_at("rar_cache_version")? != CACHE_VERSION {
         return None;
     }
-    if field_str(text, "fingerprint")? != cfg.fingerprint() {
+    if str_at("fingerprint")? != cfg.fingerprint() {
         return None;
     }
-    let workload = field_str(text, "workload")?;
+    let workload = str_at("workload")?;
     if workload != cfg.workload {
         return None;
     }
-    let technique = Technique::parse(&field_str(text, "technique")?)?;
+    let technique = Technique::parse(str_at("technique")?)?;
     if technique != cfg.technique {
         return None;
     }
@@ -268,7 +273,7 @@ fn decode(text: &str, cfg: &SimConfig) -> Option<SimResult> {
             &mut stats.issued,
         ];
         for (key, slot) in keys.into_iter().zip(slots) {
-            *slot = field_u64(text, key)?;
+            *slot = u64_at(key)?;
         }
     }
 
@@ -288,82 +293,50 @@ fn decode(text: &str, cfg: &SimConfig) -> Option<SimResult> {
             &mut mem.runahead_loads,
         ];
         for (key, slot) in keys.into_iter().zip(slots) {
-            *slot = field_u64(text, key)?;
+            *slot = u64_at(key)?;
         }
     }
 
     let predictor = PredictorStats {
-        predictions: field_u64(text, "predictor.predictions")?,
-        mispredictions: field_u64(text, "predictor.mispredictions")?,
-        btb_misses: field_u64(text, "predictor.btb_misses")?,
+        predictions: u64_at("predictor.predictions")?,
+        mispredictions: u64_at("predictor.mispredictions")?,
+        btb_misses: u64_at("predictor.btb_misses")?,
     };
 
-    let rel_abc = field_u128_array::<{ Structure::COUNT }>(text, "reliability.abc")?;
+    let rel_abc = u128_array::<{ Structure::COUNT }>(&doc, "reliability.abc")?;
     let reliability = ReliabilityReport::from_parts(
         rel_abc,
-        field_u128(text, "reliability.total_abc")?,
-        field_u128(text, "reliability.refined_total_abc")?,
-        field_u128(text, "reliability.bit_refined_total_abc")?,
-        field_u64(text, "reliability.capacity_bits")?,
-        field_u64(text, "reliability.cycles")?,
+        u128_at("reliability.total_abc")?,
+        u128_at("reliability.refined_total_abc")?,
+        u128_at("reliability.bit_refined_total_abc")?,
+        u64_at("reliability.capacity_bits")?,
+        u64_at("reliability.cycles")?,
     );
 
     Some(SimResult {
-        workload,
+        workload: workload.to_owned(),
         technique,
         stats,
         reliability,
         mem,
         predictor,
-        abc_by_structure: field_u128_array::<{ Structure::COUNT }>(text, "abc_by_structure")?,
-        window_abc: field_u128_array::<2>(text, "window_abc")?,
+        abc_by_structure: u128_array::<{ Structure::COUNT }>(&doc, "abc_by_structure")?,
+        window_abc: u128_array::<2>(&doc, "window_abc")?,
         // Stall profiles are never cached: profiled runs bypass the disk
         // cache entirely (the profile depends on run mode, not config).
         stalls: None,
     })
 }
 
-/// The raw value text following `"key":`, trimmed up to the terminating
-/// `,`, `}` or end of line. The flat dotted key scheme guarantees each
-/// quoted key occurs exactly once, which this enforces.
-fn raw_value<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)?;
-    if text[start + needle.len()..].contains(&needle) {
-        return None; // duplicate key: corrupt entry
+/// The array member `key`, which must hold exactly `N` `u128`s.
+fn u128_array<const N: usize>(doc: &Value<'_>, key: &str) -> Option<[u128; N]> {
+    let items = doc.get(key)?.as_array()?;
+    if items.len() != N {
+        return None;
     }
-    let rest = text[start + needle.len()..].trim_start();
-    let end = rest.find(['\n', '}'])?;
-    Some(rest[..end].trim().trim_end_matches(','))
-}
-
-fn field_u64(text: &str, key: &str) -> Option<u64> {
-    raw_value(text, key)?.parse().ok()
-}
-
-fn field_u128(text: &str, key: &str) -> Option<u128> {
-    raw_value(text, key)?.parse().ok()
-}
-
-fn field_str(text: &str, key: &str) -> Option<String> {
-    let raw = raw_value(text, key)?;
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    if inner.contains(['"', '\\']) {
-        return None; // entries never need escapes; anything else is corrupt
-    }
-    Some(inner.to_owned())
-}
-
-fn field_u128_array<const N: usize>(text: &str, key: &str) -> Option<[u128; N]> {
-    let raw = raw_value(text, key)?;
-    let inner = raw.strip_prefix('[')?.strip_suffix(']')?;
     let mut out = [0u128; N];
-    let mut parts = inner.split(',');
-    for slot in &mut out {
-        *slot = parts.next()?.trim().parse().ok()?;
-    }
-    if parts.next().is_some() {
-        return None; // wrong arity
+    for (slot, item) in out.iter_mut().zip(items) {
+        *slot = item.as_u128()?;
     }
     Some(out)
 }

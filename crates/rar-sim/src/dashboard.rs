@@ -16,23 +16,26 @@
 //! allowed slowdown versus a baseline bench.
 
 use rar_core::StallBucket;
-use rar_telemetry::manifest::{field_f64, field_str, field_u64, raw_value};
 use rar_telemetry::{validate_manifest, Phase};
+use rar_trace::jsonv::{self, Value};
 use std::fmt::Write as _;
 
-/// Reads the value of counter `name` out of a telemetry JSON export or a
-/// manifest embedding one (`"<name>": {"kind": "counter", "value": N}`).
-#[must_use]
-pub fn counter_value(text: &str, name: &str) -> Option<u64> {
-    let at = text.find(&format!("\"{name}\":"))?;
-    let rest = &text[at..];
-    let vat = rest.find("\"value\":")?;
-    let digits: String = rest[vat + "\"value\":".len()..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// Reads the value of counter `name` out of a telemetry JSON export, or
+/// out of a manifest embedding one under `"telemetry"`
+/// (`"metrics": {"<name>": {"kind": "counter", "value": N}}`).
+fn counter_value(doc: &Value<'_>, name: &str) -> Option<u64> {
+    doc.get("telemetry")
+        .unwrap_or(doc)
+        .get("metrics")?
+        .get(name)?
+        .get("value")?
+        .as_u64()
+}
+
+/// `text` parsed as JSON; an unreadable document reads as `null`, whose
+/// members are all absent.
+fn parse_or_null(text: &str) -> Value<'_> {
+    jsonv::parse(text).unwrap_or(Value::Null)
 }
 
 /// Escapes text for embedding in HTML.
@@ -70,13 +73,15 @@ fn bar(out: &mut String, label: &str, text: &str, share: f64) {
 /// Renders the manifest summary + self-profile section for one manifest.
 fn manifest_section(out: &mut String, name: &str, text: &str) {
     let _ = writeln!(out, "<section><h2>{}</h2>", esc(name));
-    let tool = field_str(text, "tool").unwrap_or_else(|| "?".into());
-    let version = field_str(text, "version").unwrap_or_else(|| "?".into());
+    let doc = parse_or_null(text);
+    let u = |key: &str| doc.get(key).and_then(Value::as_u64);
+    let f = |key: &str| doc.get(key).and_then(Value::as_f64);
+    let s = |key: &str| doc.get(key).and_then(Value::as_str).unwrap_or("?");
     let _ = writeln!(
         out,
         "<p class=\"meta\">{} v{}</p>",
-        esc(&tool),
-        esc(&version)
+        esc(s("tool")),
+        esc(s("version"))
     );
     let _ = writeln!(out, "<table>");
     for key in [
@@ -87,7 +92,7 @@ fn manifest_section(out: &mut String, name: &str, text: &str) {
         "cells_failed",
         "threads",
     ] {
-        if let Some(v) = field_u64(text, key) {
+        if let Some(v) = u(key) {
             let _ = writeln!(out, "<tr><td>{key}</td><td>{v}</td></tr>");
         }
     }
@@ -96,7 +101,7 @@ fn manifest_section(out: &mut String, name: &str, text: &str) {
         ("runs_per_second", " runs/s"),
         ("wall_seconds", " s"),
     ] {
-        if let Some(v) = field_f64(text, key) {
+        if let Some(v) = f(key) {
             let shown = if key == "cache_hit_rate" {
                 v * 100.0
             } else {
@@ -112,21 +117,21 @@ fn manifest_section(out: &mut String, name: &str, text: &str) {
         "avf_refined_mean",
         "avf_bit_refined_mean",
     ] {
-        if let Some(v) = field_f64(text, key) {
+        if let Some(v) = f(key) {
             let _ = writeln!(out, "<tr><td>{key}</td><td>{v:.6}</td></tr>");
         }
     }
     // Cycle-accounting headline (present when the sweep ran with the
     // stall profiler on): the quiescent fraction bounds what an
     // event-driven cycle loop could skip.
-    if let Some(v) = field_f64(text, "quiescent_fraction") {
+    if let Some(v) = f("quiescent_fraction") {
         let _ = writeln!(
             out,
             "<tr><td>quiescent_fraction</td><td>{:.2}%</td></tr>",
             v * 100.0
         );
     }
-    if let Some(v) = field_u64(text, "stall_total_cycles") {
+    if let Some(v) = u("stall_total_cycles") {
         let _ = writeln!(out, "<tr><td>stall_total_cycles</td><td>{v}</td></tr>");
     }
     let _ = writeln!(out, "</table>");
@@ -136,7 +141,7 @@ fn manifest_section(out: &mut String, name: &str, text: &str) {
     let stall_rows: Vec<(&str, u64)> = StallBucket::ALL
         .iter()
         .filter_map(|b| {
-            let cycles = counter_value(text, &format!("rar_stall_{}_cycles_total", b.name()))?;
+            let cycles = counter_value(&doc, &format!("rar_stall_{}_cycles_total", b.name()))?;
             Some((b.name(), cycles))
         })
         .collect();
@@ -163,7 +168,7 @@ fn manifest_section(out: &mut String, name: &str, text: &str) {
     let phases: Vec<(&str, u64)> = Phase::ALL
         .iter()
         .filter_map(|p| {
-            let nanos = counter_value(text, &format!("rar_profile_{}_nanos_total", p.name()))?;
+            let nanos = counter_value(&doc, &format!("rar_profile_{}_nanos_total", p.name()))?;
             Some((p.name(), nanos))
         })
         .collect();
@@ -202,8 +207,9 @@ fn bench_section(out: &mut String, benches: &[(String, String)]) {
          <th>hit rate</th><th>runs/s</th><th>wall</th><th>threads</th></tr>"
     );
     for (name, text) in benches {
-        let u = |k| field_u64(text, k).unwrap_or(0);
-        let f = |k| field_f64(text, k).unwrap_or(0.0);
+        let doc = parse_or_null(text);
+        let u = |key: &str| doc.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let f = |key: &str| doc.get(key).and_then(Value::as_f64).unwrap_or(0.0);
         let _ = writeln!(
             out,
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
@@ -264,7 +270,7 @@ pub const DEFAULT_MAX_SLOWDOWN: f64 = 0.5;
 ///
 /// * every manifest must satisfy [`validate_manifest`];
 /// * if `min_hit_rate` is set, the gated bench's `cache_hit_rate` must
-///   meet it (the warm-sweep criterion);
+///   meet it (a warm sweep replays from the cache);
 /// * if `baseline` is given, the gated bench's `runs_per_second` must not
 ///   fall below `baseline × (1 − max_slowdown)`.
 #[must_use]
@@ -287,11 +293,23 @@ pub fn check_bench(
         }
         return problems;
     };
-    if raw_value(bench, "schema").is_none() {
+    let bench = match jsonv::parse(bench) {
+        Ok(doc) => doc,
+        Err(e) => {
+            problems.push(format!("bench report is not valid JSON: {e}"));
+            return problems;
+        }
+    };
+    let runs_per_second = |doc: &Value<'_>| {
+        doc.get("runs_per_second")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0)
+    };
+    if bench.get("schema").is_none() {
         problems.push("bench report has no schema tag".to_owned());
     }
     if let Some(floor) = min_hit_rate {
-        match field_f64(bench, "cache_hit_rate") {
+        match bench.get("cache_hit_rate").and_then(Value::as_f64) {
             Some(rate) if rate >= floor => {}
             Some(rate) => problems.push(format!(
                 "cache hit rate {:.1}% below the {:.1}% floor",
@@ -302,8 +320,8 @@ pub fn check_bench(
         }
     }
     if let Some(base) = baseline {
-        let current = field_f64(bench, "runs_per_second").unwrap_or(0.0);
-        let reference = field_f64(base, "runs_per_second").unwrap_or(0.0);
+        let current = runs_per_second(&bench);
+        let reference = runs_per_second(&parse_or_null(base));
         let floor = reference * (1.0 - max_slowdown.clamp(0.0, 1.0));
         if reference > 0.0 && current < floor {
             problems.push(format!(
@@ -354,8 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn counter_values_scan_out_of_manifests() {
-        let (_, manifest) = profiled_manifest();
+    fn counter_values_read_out_of_manifests() {
+        let (_, text) = profiled_manifest();
+        let manifest = jsonv::parse(&text).expect("manifest is JSON");
         assert_eq!(
             counter_value(&manifest, "rar_sweep_cells_simulated_total"),
             Some(1)

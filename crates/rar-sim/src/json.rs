@@ -9,12 +9,8 @@ use crate::config::SimConfig;
 use crate::run::SimResult;
 use rar_ace::Structure;
 use rar_core::{StallBucket, OCC_BUCKETS, OCC_STRUCTURES};
+use rar_trace::jsonv::escape;
 use std::fmt::Write as _;
-
-fn esc(s: &str) -> String {
-    // Identifiers here never contain quotes/backslashes, but escape anyway.
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Serializes a [`SimResult`] to a pretty-printed JSON object.
 ///
@@ -51,7 +47,7 @@ fn render(r: &SimResult, cfg: Option<&SimConfig>) -> String {
     if let Some(cfg) = cfg {
         let _ = writeln!(out, "  \"config_fingerprint\": \"{}\",", cfg.fingerprint());
     }
-    let _ = writeln!(out, "  \"workload\": \"{}\",", esc(&r.workload));
+    let _ = writeln!(out, "  \"workload\": \"{}\",", escape(&r.workload));
     let _ = writeln!(out, "  \"technique\": \"{}\",", r.technique);
     let _ = writeln!(out, "  \"performance\": {{");
     let _ = writeln!(out, "    \"cycles\": {},", s.cycles);
@@ -273,12 +269,6 @@ mod tests {
         ] {
             assert!(json.contains(&format!("\"{field}\"")), "missing {field}");
         }
-    }
-
-    #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(esc("a\"b"), "a\\\"b");
-        assert_eq!(esc("a\\b"), "a\\\\b");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! yields byte-identical output regardless of thread count.
 
 use crate::registry::{HistogramSnapshot, MetricValue, MetricsRegistry, HISTOGRAM_BUCKETS};
+use rar_trace::jsonv::escape;
 use std::fmt::Write as _;
 
 /// Schema tag of the JSON telemetry export.
@@ -128,7 +129,7 @@ pub fn to_json(registry: &MetricsRegistry) -> String {
     out.push_str("  \"metrics\": {\n");
     for (i, (name, value)) in snap.iter().enumerate() {
         let comma = if i + 1 < snap.len() { "," } else { "" };
-        let key = json_escape(name);
+        let key = escape(name);
         match value {
             MetricValue::Counter(v) => {
                 let _ = writeln!(
@@ -170,10 +171,6 @@ pub fn to_json(registry: &MetricsRegistry) -> String {
     }
     out.push_str("  }\n}\n");
     out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Serializes the registry to the Prometheus text exposition format.

@@ -13,6 +13,7 @@
 //! allocation-bounded: a recorder that is never dumped costs a ring of
 //! short strings and nothing else.
 
+use rar_trace::jsonv::escape;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,7 +121,7 @@ impl FlightRecorder {
             out,
             "{{\"schema\":\"{}\",\"reason\":\"{}\",\"dropped\":{},\"events\":[",
             FLIGHT_SCHEMA,
-            esc(reason),
+            escape(reason),
             self.dropped()
         );
         for (i, e) in events.iter().enumerate() {
@@ -131,32 +132,13 @@ impl FlightRecorder {
                 out,
                 "{{\"nanos\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
                 e.nanos,
-                esc(&e.kind),
-                esc(&e.detail)
+                escape(&e.kind),
+                escape(&e.detail)
             );
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

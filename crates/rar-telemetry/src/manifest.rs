@@ -8,13 +8,14 @@
 //! two identical runs produce byte-identical manifests regardless of
 //! thread count.
 //!
-//! The module also ships the minimal field scanner the `rar-experiments
-//! report` command uses to read manifests and `BENCH_*.json` files back,
-//! plus [`validate_manifest`] — the schema check CI runs on every
-//! generated manifest.
+//! Manifests are read back with the workspace's JSON reader,
+//! [`rar_trace::jsonv`]: [`validate_manifest`] is the schema check CI
+//! runs on every generated manifest, and `rar-experiments report` reads
+//! manifests and `BENCH_*.json` files the same way.
 
 use crate::export::sanitize_f64;
 use crate::registry::MetricsRegistry;
+use rar_trace::jsonv::{self, escape};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -97,7 +98,7 @@ impl ManifestBuilder {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
         for (key, value) in &self.fields {
-            let _ = write!(out, "  \"{}\": ", esc(key));
+            let _ = write!(out, "  \"{}\": ", escape(key));
             match value {
                 Value::U64(v) => {
                     let _ = write!(out, "{v}");
@@ -106,7 +107,7 @@ impl ManifestBuilder {
                     let _ = write!(out, "{:.6}", sanitize_f64(*v));
                 }
                 Value::Str(v) => {
-                    let _ = write!(out, "\"{}\"", esc(v));
+                    let _ = write!(out, "\"{}\"", escape(v));
                 }
                 Value::StrArray(vs) => {
                     out.push('[');
@@ -114,16 +115,15 @@ impl ManifestBuilder {
                         if i > 0 {
                             out.push_str(", ");
                         }
-                        let _ = write!(out, "\"{}\"", esc(v));
+                        let _ = write!(out, "\"{}\"", escape(v));
                     }
                     out.push(']');
                 }
             }
             out.push_str(",\n");
         }
-        // Telemetry last: the embedded snapshot carries its own keys, and
-        // keeping it below the manifest's own fields means the flat field
-        // scanner always resolves a top-level key first.
+        // Telemetry last, below the manifest's own fields, so a reader
+        // skimming the file sees the run's headline numbers first.
         out.push_str("  \"telemetry\": ");
         let telemetry = crate::export::to_json(registry);
         for (i, line) in telemetry.lines().enumerate() {
@@ -139,74 +139,48 @@ impl ManifestBuilder {
     }
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Validates a rendered manifest: parsable fields, the expected schema
-/// tags, and every required key present. Returns the list of problems
-/// (empty ⇒ valid).
+/// Validates a rendered manifest: well-formed JSON, the expected schema
+/// tags, and every required top-level key present. Returns the list of
+/// problems (empty ⇒ valid).
 #[must_use]
 pub fn validate_manifest(text: &str) -> Vec<String> {
+    let doc = match jsonv::parse(text) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("not valid JSON: {e}")],
+    };
     let mut problems = Vec::new();
     for key in MANIFEST_REQUIRED_KEYS {
-        if !text.contains(&format!("\"{key}\":")) {
+        if doc.get(key).is_none() {
             problems.push(format!("missing required key '{key}'"));
         }
     }
-    match field_str(text, "schema") {
-        Some(s) if s == MANIFEST_SCHEMA => {}
-        Some(s) => problems.push(format!("schema is '{s}', expected '{MANIFEST_SCHEMA}'")),
-        None => {}
+    match doc.get("schema").and_then(jsonv::Value::as_str) {
+        Some(s) if s != MANIFEST_SCHEMA => {
+            problems.push(format!("schema is '{s}', expected '{MANIFEST_SCHEMA}'"));
+        }
+        _ => {}
     }
-    if !text.contains(&format!("\"{}\"", crate::export::TELEMETRY_SCHEMA)) {
+    let telemetry_schema = doc
+        .get("telemetry")
+        .and_then(|t| t.get("schema"))
+        .and_then(jsonv::Value::as_str);
+    if telemetry_schema != Some(crate::export::TELEMETRY_SCHEMA) {
         problems.push(format!(
             "embedded telemetry snapshot missing schema '{}'",
             crate::export::TELEMETRY_SCHEMA
         ));
     }
     for key in ["cache_hit_rate", "runs_per_second", "wall_seconds"] {
-        if let Some(raw) = raw_value(text, key) {
-            if raw.parse::<f64>().is_err() {
-                problems.push(format!("'{key}' is not a number: {raw}"));
+        if let Some(v) = doc.get(key) {
+            if v.as_f64().is_none() {
+                problems.push(format!("'{key}' is not a number: {v:?}"));
             }
         }
     }
-    if field_u64(text, "threads") == Some(0) {
+    if doc.get("threads").and_then(jsonv::Value::as_u64) == Some(0) {
         problems.push("threads must be nonzero".to_owned());
     }
     problems
-}
-
-/// The raw value text following the *first* occurrence of `"key":`,
-/// trimmed up to the terminating `,`, `}` or end of line. Good enough
-/// for the flat, machine-written documents this workspace produces.
-#[must_use]
-pub fn raw_value<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)?;
-    let rest = text[start + needle.len()..].trim_start();
-    let end = rest.find(['\n', '}'])?;
-    Some(rest[..end].trim().trim_end_matches(','))
-}
-
-/// Scans an integer field.
-#[must_use]
-pub fn field_u64(text: &str, key: &str) -> Option<u64> {
-    raw_value(text, key)?.parse().ok()
-}
-
-/// Scans a float field.
-#[must_use]
-pub fn field_f64(text: &str, key: &str) -> Option<f64> {
-    raw_value(text, key)?.parse().ok()
-}
-
-/// Scans a string field.
-#[must_use]
-pub fn field_str(text: &str, key: &str) -> Option<String> {
-    let raw = raw_value(text, key)?;
-    Some(raw.strip_prefix('"')?.strip_suffix('"')?.to_owned())
 }
 
 #[cfg(test)]
@@ -248,12 +222,23 @@ mod tests {
     }
 
     #[test]
-    fn fields_scan_back_out() {
+    fn fields_read_back_out() {
         let text = sample();
-        assert_eq!(field_str(&text, "tool").as_deref(), Some("rar-experiments"));
-        assert_eq!(field_u64(&text, "threads"), Some(4));
-        assert_eq!(field_f64(&text, "runs_per_second"), Some(12.5));
-        assert_eq!(field_u64(&text, "rar_sweep_cells_simulated_total"), None);
+        let doc = jsonv::parse(&text).expect("manifest is JSON");
+        assert_eq!(
+            doc.get("tool").and_then(jsonv::Value::as_str),
+            Some("rar-experiments")
+        );
+        assert_eq!(doc.get("threads").and_then(jsonv::Value::as_u64), Some(4));
+        assert_eq!(
+            doc.get("runs_per_second").and_then(jsonv::Value::as_f64),
+            Some(12.5)
+        );
+        assert_eq!(
+            doc.get("rar_sweep_cells_simulated_total"),
+            None,
+            "top level only"
+        );
     }
 
     #[test]
@@ -271,6 +256,10 @@ mod tests {
         assert!(validate_manifest(&missing)
             .iter()
             .any(|p| p.contains("wall_seconds")));
+        let truncated = &text[..text.len() / 2];
+        assert!(validate_manifest(truncated)
+            .iter()
+            .any(|p| p.contains("not valid JSON")));
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Randomized property checks that run offline (no external crates): a
 //! deterministic xorshift generator produces uop streams and leak
-//! scenarios, and each property is checked over many seeds. The
-//! proptest-based twin lives in `tests/proptests.rs` behind the
-//! `proptests` feature.
+//! scenarios, and each property is checked over many seeds.
 
 use rar_ace::{AceCounter, Structure};
 use rar_isa::{ArchReg, BranchClass, BranchInfo, Uop, UopKind};

@@ -47,6 +47,10 @@
 //!    every site registered in `rar_chaos::sites` is listed in
 //!    `sites::ALL`, documented by its dotted name in DESIGN.md, and
 //!    exercised (by const name) in at least one integration test.
+//! 10. **json-one-reader** — JSON is read and escaped in one place:
+//!     outside `rar_trace::jsonv`, non-test sources neither search text
+//!     for `"key":` needles nor escape JSON strings by hand (Prometheus
+//!     label values, a different format, keep `escape_label_value`).
 //!
 //! Each lint prints `ok`/`FAIL` per rule; any failure exits nonzero so CI
 //! can gate on it.
@@ -138,6 +142,24 @@ fn crate_sources(rel: &str) -> String {
         all.push('\n');
     }
     all
+}
+
+/// Every `.rs` file under `dir`, recursively, sorted.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        for entry in std::fs::read_dir(&d).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
 }
 
 struct Lint {
@@ -640,6 +662,72 @@ fn lint_chaos_coverage(lint: &mut Lint) {
     }
 }
 
+/// Lint 10: one JSON reader and one JSON string escaper. A search for a
+/// literal quoted key, or for a needle built as `"\"{key}\":"`, is the
+/// signature of a hand-rolled field scanner; writing a backslash-quote
+/// pair is what a string escaper does. Both belong in `jsonv` alone.
+fn lint_json_one_reader(lint: &mut Lint) {
+    println!("json-one-reader");
+    let mut scanners: Vec<String> = [".find(", ".rfind(", ".contains(", ".split(", ".matches("]
+        .iter()
+        .flat_map(|call| [format!(r#"{call}"\""#), format!(r#"{call}&format!("\""#)])
+        .collect();
+    scanners.push(r#"}\":")"#.to_owned());
+    let escaper = r#""\\\"""#;
+    let mut scanned = 0;
+    let mut offenders = Vec::new();
+    for path in rust_files(&root().join("crates")) {
+        let rel = path
+            .strip_prefix(root())
+            .unwrap_or(&path)
+            .display()
+            .to_string();
+        if !rel.contains("/src/")
+            || rel.starts_with("crates/xtask/")
+            || rel.ends_with("rar-trace/src/jsonv.rs")
+        {
+            continue;
+        }
+        scanned += 1;
+        let src = std::fs::read_to_string(&path).expect("readable source");
+        // Test modules come last in every source file; comments (doc
+        // tests included) are not code that runs.
+        let live: String = src
+            .split("#[cfg(test)]")
+            .next()
+            .unwrap_or("")
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        for pat in &scanners {
+            if live.contains(pat.as_str()) {
+                offenders.push(format!("{rel}: key scan `{pat}`"));
+            }
+        }
+        for (at, _) in live.match_indices(escaper) {
+            let func = live[..at]
+                .rsplit("fn ")
+                .next()
+                .and_then(|rest| rest.split(['(', '<']).next())
+                .unwrap_or("");
+            if func != "escape_label_value" {
+                offenders.push(format!("{rel}: JSON string escaper in fn {func}"));
+            }
+        }
+    }
+    lint.check(
+        "json-one-reader",
+        scanned >= 50,
+        format!("{scanned} non-test sources outside jsonv scanned"),
+    );
+    lint.check(
+        "json-one-reader",
+        offenders.is_empty(),
+        format!("no JSON key scanners or string escapers outside rar_trace::jsonv {offenders:?}"),
+    );
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -654,6 +742,7 @@ fn main() -> ExitCode {
             lint_serve_panic_paths(&mut lint);
             lint_obs_coverage(&mut lint);
             lint_chaos_coverage(&mut lint);
+            lint_json_one_reader(&mut lint);
             if lint.failures.is_empty() {
                 println!("xtask lint: all checks passed");
                 ExitCode::SUCCESS
@@ -700,6 +789,7 @@ mod tests {
         lint_serve_panic_paths(&mut lint);
         lint_obs_coverage(&mut lint);
         lint_chaos_coverage(&mut lint);
+        lint_json_one_reader(&mut lint);
         assert!(lint.failures.is_empty(), "{:?}", lint.failures);
     }
 
