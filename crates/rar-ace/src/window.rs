@@ -3,8 +3,11 @@
 //! The core opens a window when a long-latency load miss blocks commit at
 //! the ROB head (or when the ROB additionally fills up) and closes it when
 //! the load returns. Windows therefore arrive in increasing time order and
-//! never overlap within one [`WindowSet`], which lets overlap queries run in
-//! `O(log n)` using prefix sums.
+//! never overlap within one [`WindowSet`], which lets overlap queries run
+//! on prefix sums. The core asks about the intervals of instructions
+//! committing now, which start no earlier than their dispatch, so many
+//! query points lie at or after the last closed window: those cost O(1),
+//! and any other point a binary search.
 
 use std::fmt;
 
@@ -41,8 +44,8 @@ impl fmt::Display for StallKind {
     }
 }
 
-/// A set of non-overlapping, time-ordered windows supporting `O(log n)`
-/// overlap queries.
+/// A set of non-overlapping, time-ordered windows supporting overlap
+/// queries in O(1) at or after the newest window and `O(log n)` elsewhere.
 ///
 /// # Examples
 ///
@@ -126,23 +129,22 @@ impl WindowSet {
         self.starts.is_empty()
     }
 
-    /// Total window cycles strictly before time `t` (counting a still-open
-    /// window up to `t`).
-    fn covered_before(&self, t: u64) -> u64 {
-        // Closed windows: binary search for the first window starting >= t.
-        let i = self.starts.partition_point(|&s| s < t);
-        let mut covered = if i == 0 {
-            0
-        } else {
-            // Windows 0..i-1 fully or partially precede t.
-            let full = self.prefix[i - 1];
-            let last_end = self.ends[i - 1].min(t);
-            full + last_end.saturating_sub(self.starts[i - 1])
-        };
-        if let Some(open) = self.open_since {
-            covered += t.saturating_sub(open);
+    /// End of the newest closed window (0 when none has closed).
+    fn last_end(&self) -> u64 {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Closed-window cycles strictly before time `t`.
+    fn closed_before(&self, t: u64) -> u64 {
+        if t >= self.last_end() {
+            return self.total;
         }
-        covered
+        let i = self.starts.partition_point(|&s| s < t);
+        if i == 0 {
+            return 0;
+        }
+        // Windows 0..i-1 fully precede t; window i-1 may straddle it.
+        self.prefix[i - 1] + self.ends[i - 1].min(t) - self.starts[i - 1]
     }
 
     /// Length of the intersection of `[start, end)` with the window set
@@ -152,7 +154,34 @@ impl WindowSet {
         if end <= start {
             return 0;
         }
-        self.covered_before(end) - self.covered_before(start)
+        let open = self
+            .open_since
+            .map_or(0, |open| end.saturating_sub(open.max(start)));
+        open + self.closed_before(end) - self.closed_before(start)
+    }
+
+    /// [`WindowSet::overlap`] by two binary searches and no fast path:
+    /// the reference the fast path is tested against.
+    #[cfg(test)]
+    fn overlap_by_search(&self, start: u64, end: u64) -> u64 {
+        let covered_before = |t: u64| {
+            let i = self.starts.partition_point(|&s| s < t);
+            let mut covered = if i == 0 {
+                0
+            } else {
+                let full = self.prefix[i - 1];
+                let last_end = self.ends[i - 1].min(t);
+                full + last_end.saturating_sub(self.starts[i - 1])
+            };
+            if let Some(open) = self.open_since {
+                covered += t.saturating_sub(open);
+            }
+            covered
+        };
+        if end <= start {
+            return 0;
+        }
+        covered_before(end) - covered_before(start)
     }
 }
 
@@ -235,6 +264,77 @@ mod tests {
         w.close(10);
         assert!(w.is_empty());
         assert!(!w.is_open());
+    }
+
+    /// xorshift64 for the seeded tests.
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Cycles in `[start, end)` covered by a closed window or by an open
+    /// one (which covers every cycle from its start), counted one by one.
+    fn brute_overlap(closed: &[(u64, u64)], open: Option<u64>, start: u64, end: u64) -> u64 {
+        (start..end)
+            .filter(|&c| {
+                closed.iter().any(|&(s, e)| (s..e).contains(&c)) || open.is_some_and(|o| c >= o)
+            })
+            .count() as u64
+    }
+
+    /// Compares 25 queries, in no particular order and some empty or
+    /// reversed, with the cycle-by-cycle count and the search reference.
+    fn check_queries(w: &WindowSet, closed: &[(u64, u64)], open: Option<u64>, x: &mut u64) {
+        for _ in 0..25 {
+            let a = next(x) % 700;
+            let b = next(x) % 700;
+            let expected = brute_overlap(closed, open, a, b);
+            assert_eq!(
+                w.overlap(a, b),
+                expected,
+                "[{a}, {b}) over {closed:?} open {open:?}"
+            );
+            assert_eq!(w.overlap_by_search(a, b), expected);
+        }
+    }
+
+    #[test]
+    fn overlap_matches_a_cycle_by_cycle_count() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..40 {
+            let mut w = WindowSet::new();
+            let mut closed = Vec::new();
+            let mut t = next(&mut x) % 20;
+            for _ in 0..next(&mut x) % 24 {
+                // Gaps and lengths of zero included: back-to-back windows
+                // and discarded zero-length ones.
+                t += next(&mut x) % 12;
+                w.open(t);
+                if next(&mut x).is_multiple_of(4) {
+                    w.open(t + 3); // re-detection keeps the first open
+                }
+                let start = t;
+                t += next(&mut x) % 30;
+                let recorded = w.close(t);
+                if t > start {
+                    closed.push((start, t));
+                    assert_eq!(recorded, Some((start, t)));
+                } else {
+                    assert_eq!(recorded, None);
+                }
+                check_queries(&w, &closed, None, &mut x);
+            }
+            if next(&mut x).is_multiple_of(2) {
+                t += next(&mut x) % 12;
+                w.open(t);
+                check_queries(&w, &closed, Some(t), &mut x);
+            }
+            let total: u64 = closed.iter().map(|(s, e)| e - s).sum();
+            assert_eq!(w.total_cycles(), total);
+            assert_eq!(w.len(), closed.len());
+        }
     }
 
     #[test]

@@ -110,8 +110,7 @@ pub struct CoreConfig {
     /// Model wrong-path execution: dispatch synthetic micro-ops past a
     /// mispredicted branch until it resolves (they contend for back-end
     /// resources and pollute caches, then are squashed). Off by default —
-    /// the paper-calibrated numbers treat wrong-path fetch as bubbles;
-    /// see the `ablation_wrong_path` bench for its effect.
+    /// the paper-calibrated numbers treat wrong-path fetch as bubbles.
     pub model_wrong_path: bool,
 }
 
@@ -262,6 +261,28 @@ impl CoreConfig {
         }
         if self.width == 0 {
             return Err(ConfigError::core("width", "pipeline width must be nonzero"));
+        }
+        for (field, count) in [
+            ("fu.int_add", self.fu.int_add),
+            ("fu.int_mul", self.fu.int_mul),
+            ("fu.int_div", self.fu.int_div),
+            ("fu.fp_add", self.fu.fp_add),
+            ("fu.fp_mul", self.fu.fp_mul),
+            ("fu.fp_div", self.fu.fp_div),
+            ("fu.mem_ports", self.fu.mem_ports),
+        ] {
+            if count == 0 {
+                return Err(ConfigError::core(
+                    field,
+                    "needs at least one unit, or micro-ops of its kind never issue",
+                ));
+            }
+        }
+        if self.sst_size == 0 {
+            return Err(ConfigError::core(
+                "sst_size",
+                "the stalling slice table needs at least one entry",
+            ));
         }
         if self.int_regs < 32 + self.width {
             return Err(ConfigError::core(
@@ -443,5 +464,11 @@ mod tests {
         let mut c = CoreConfig::baseline();
         c.throttle_width = c.width + 1;
         assert_eq!(c.validate().unwrap_err().field(), "throttle_width");
+        let mut c = CoreConfig::baseline();
+        c.sst_size = 0;
+        assert_eq!(c.validate().unwrap_err().field(), "sst_size");
+        let mut c = CoreConfig::baseline();
+        c.fu.fp_div = 0;
+        assert_eq!(c.validate().unwrap_err().field(), "fu.fp_div");
     }
 }

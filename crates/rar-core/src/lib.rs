@@ -45,6 +45,7 @@
 pub mod config;
 pub mod fu;
 pub mod inject;
+mod iq;
 pub mod pipeline;
 pub mod regfile;
 pub mod rob;

@@ -25,6 +25,7 @@
 use crate::config::{exec_latency, CoreConfig};
 use crate::fu::FuPool;
 use crate::inject::{FaultLanding, FaultReport, FaultTarget, PlannedFault};
+use crate::iq::IssueQueue;
 use crate::regfile::{PhysReg, PhysRegFile, Rat};
 use crate::rob::{Entry, Rob};
 use crate::runahead::{InvTracker, Mode, RaState};
@@ -90,7 +91,8 @@ pub struct Core<S, T: TraceSink = NullSink> {
     /// unlike the sequence table this survives commit, so slice learning
     /// can attribute producers even after they retire.
     arch_last_writer_pc: [Option<u64>; ArchReg::total_count()],
-    iq_count: usize,
+    /// The ROB's un-issued entries, oldest first.
+    iq: IssueQueue,
     lq_count: usize,
     sq_count: usize,
     fu: FuPool,
@@ -151,6 +153,11 @@ pub struct Core<S, T: TraceSink = NullSink> {
     sample_every: u64,
     /// Reused scratch buffer for draining the memory hierarchy's event log.
     mem_scratch: Vec<TraceEvent>,
+    /// Reused scratch buffers for the issue stage: the cycle's candidates,
+    /// its LLC-missing loads, and the slice walk behind each of them.
+    issue_scratch: Vec<u64>,
+    miss_scratch: Vec<u64>,
+    slice_scratch: Vec<u64>,
 
     /// Armed single-bit fault, applied when `now` reaches its cycle.
     fault: Option<PlannedFault>,
@@ -224,7 +231,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             reg_ready,
             arch_last_writer: [None; ArchReg::total_count()],
             arch_last_writer_pc: [None; ArchReg::total_count()],
-            iq_count: 0,
+            iq: IssueQueue::with_capacity(cfg.iq_size),
             lq_count: 0,
             sq_count: 0,
             fu: FuPool::new(&cfg.fu),
@@ -252,6 +259,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             sink,
             sample_every: 0,
             mem_scratch: Vec::new(),
+            issue_scratch: Vec::with_capacity(cfg.width),
+            miss_scratch: Vec::with_capacity(cfg.width),
+            slice_scratch: Vec::new(),
             fault: None,
             fault_report: FaultReport::default(),
             fault_active: false,
@@ -550,7 +560,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             StallBucket::DramWait
         } else if self.rob.is_full() {
             StallBucket::RobFull
-        } else if self.iq_count >= self.cfg.iq_size {
+        } else if self.iq.len() >= self.cfg.iq_size {
             StallBucket::IqFull
         } else if self.lq_count >= self.cfg.lq_size || self.sq_count >= self.cfg.sq_size {
             StallBucket::LsqFull
@@ -564,7 +574,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         };
         let occupancies = [
             self.rob.len(),
-            self.iq_count,
+            self.iq.len(),
             self.lq_count,
             self.sq_count,
             self.active_misses.len(),
@@ -628,15 +638,37 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
 
         s.check_rob_order(now, self.rob.iter().map(|e| e.seq));
 
-        let rob_in_iq = self.rob.iter().filter(|e| e.in_iq).count();
+        s.check_issue_queue(
+            now,
+            "resident",
+            self.iq.seqs(),
+            self.rob.iter().filter(|e| e.in_iq).map(|e| e.seq),
+        );
+        // Issue selection from the list versus the reference ROB walk:
+        // the first `width` un-issued entries whose sources are ready.
+        let int_regs = self.prf.int_regs();
+        let mut picked = Vec::new();
+        self.iq
+            .select_ready(&self.reg_ready, now, self.cfg.width, &mut picked);
+        let walked = self
+            .rob
+            .iter()
+            .filter(|e| {
+                e.in_iq
+                    && e.src_phys_cache
+                        .iter()
+                        .flatten()
+                        .all(|p| self.reg_ready[p.flat(int_regs)] <= now)
+            })
+            .map(|e| e.seq)
+            .take(self.cfg.width);
+        s.check_issue_queue(now, "ready candidate", picked, walked);
         let rob_loads = self.rob.iter().filter(|e| e.uop.is_load()).count();
         let rob_stores = self.rob.iter().filter(|e| e.uop.is_store()).count();
         s.check_queue_counts(
             now,
-            self.iq_count,
             self.lq_count,
             self.sq_count,
-            rob_in_iq,
             rob_loads,
             rob_stores,
             self.cfg.lq_size,
@@ -675,7 +707,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         let row = SampleRow {
             cycle: self.now,
             rob: self.rob.len(),
-            iq: self.iq_count,
+            iq: self.iq.len(),
             lq: self.lq_count,
             sq: self.sq_count,
             in_runahead: self.mode.is_runahead(),
@@ -739,7 +771,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             if e.in_iq {
                 // Never issued (squashless commit only happens for issued
                 // entries, but be defensive for NOPs).
-                self.iq_count -= 1;
+                self.iq.remove(e.seq);
             }
             // Retire the writer table lazily: only clear if this entry is
             // still the registered last writer.
@@ -951,43 +983,33 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     // Issue
     // ------------------------------------------------------------------
 
+    /// Issues the first `width` issue-queue residents, oldest first, whose
+    /// sources are ready. A candidate the functional units or a full MSHR
+    /// file refuse keeps its slot without using issue bandwidth, and no
+    /// younger resident is considered in its place this cycle.
     fn issue_stage(&mut self) {
-        let mut budget = self.cfg.width;
         let now = self.now;
         let int_regs = self.prf.int_regs();
-        let mut issued: Vec<u64> = Vec::new();
-        let mut llc_miss_loads: Vec<u64> = Vec::new();
+        let mut candidates = std::mem::take(&mut self.issue_scratch);
+        self.iq
+            .select_ready(&self.reg_ready, now, self.cfg.width, &mut candidates);
+        let mut llc_miss_loads = std::mem::take(&mut self.miss_scratch);
+        let mut issued = 0;
 
-        // Collect issuable entries oldest-first. Borrow discipline: first
-        // select, then mutate.
-        let mut candidates: Vec<u64> = Vec::new();
-        for e in self.rob.iter() {
-            if candidates.len() >= budget {
-                break;
-            }
-            if e.in_iq && e.src_phys_ready(&self.reg_ready, int_regs, now) {
-                candidates.push(e.seq);
-            }
-        }
-
-        for seq in candidates {
-            if budget == 0 {
-                break;
-            }
-            // Re-fetch the entry mutably.
+        for &seq in &candidates {
             let Some(e) = self.rob.get(seq) else { continue };
             let kind = e.uop.kind();
             if !self.fu.try_issue(kind, now) {
                 continue;
             }
-            let uop = e.uop.clone();
             let mispredicted = e.mispredicted;
 
             let complete_at = match kind {
                 UopKind::Load => {
-                    let m = uop.mem().expect("loads carry an address");
+                    let m = e.uop.mem().expect("loads carry an address");
+                    let pc = e.uop.pc();
                     let addr = self.effective_addr(seq, m.addr);
-                    match self.mem.access(AccessKind::Load, addr, uop.pc(), now + 1) {
+                    match self.mem.access(AccessKind::Load, addr, pc, now + 1) {
                         Ok(out) => {
                             let entry = self.rob.get_mut(seq).expect("entry resident");
                             entry.mem_level = Some(out.level);
@@ -1041,9 +1063,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                     }
                 }
             }
-            self.iq_count -= 1;
-            budget -= 1;
-            issued.push(seq);
+            let dest_phys = e.dest_phys;
+            self.iq.remove(seq);
+            issued += 1;
             if T::ENABLED {
                 self.sink.emit(TraceEvent::UopIssued {
                     seq,
@@ -1052,7 +1074,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 });
             }
 
-            if let Some(phys) = e.dest_phys {
+            if let Some(phys) = dest_phys {
                 self.reg_ready[phys.flat(int_regs)] = complete_at;
             }
             if kind == UopKind::Branch && mispredicted {
@@ -1068,10 +1090,13 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         }
 
         // Train the SST with the backward slices of LLC-missing loads.
-        for seq in llc_miss_loads {
+        for &seq in &llc_miss_loads {
             self.learn_slice(seq);
         }
-        self.stats.issued += issued.len() as u64;
+        llc_miss_loads.clear();
+        self.miss_scratch = llc_miss_loads;
+        self.issue_scratch = candidates;
+        self.stats.issued += issued;
     }
 
     /// Walks the in-flight backward slice of the load at `seq` and inserts
@@ -1083,15 +1108,14 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         let Some(load) = self.rob.get(seq) else {
             return;
         };
-        let src_pcs: Vec<u64> = load
-            .uop
-            .srcs()
-            .filter_map(|s| self.arch_last_writer_pc[s.flat_index()])
-            .collect();
-        let mut frontier: Vec<u64> = load.src_writers.iter().flatten().copied().collect();
-        for pc in src_pcs {
-            self.sst.insert(pc);
+        for src in load.uop.srcs() {
+            if let Some(pc) = self.arch_last_writer_pc[src.flat_index()] {
+                self.sst.insert(pc);
+            }
         }
+        let mut frontier = std::mem::take(&mut self.slice_scratch);
+        frontier.clear();
+        frontier.extend(load.src_writers.iter().flatten().copied());
         let mut visited = 0;
         while let Some(wseq) = frontier.pop() {
             if visited >= 16 {
@@ -1103,6 +1127,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 frontier.extend(w.src_writers.iter().flatten().copied());
             }
         }
+        self.slice_scratch = frontier;
     }
 
     // ------------------------------------------------------------------
@@ -1132,7 +1157,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 self.stats.rob_full_cycles += 1;
                 return;
             }
-            if self.iq_count >= self.cfg.iq_size {
+            if self.iq.len() >= self.cfg.iq_size {
                 self.stats.iq_full_cycles += 1;
                 return;
             }
@@ -1221,7 +1246,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             if entry.uop.is_store() {
                 self.sq_count += 1;
             }
-            self.iq_count += 1;
+            self.iq.push(entry.seq, &src_phys, self.prf.int_regs());
             self.stats.dispatched += 1;
             if T::ENABLED {
                 self.sink.emit(TraceEvent::UopDispatched {
@@ -1263,7 +1288,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             return;
         }
         for _ in 0..self.cfg.width {
-            if self.rob.is_full() || self.iq_count >= self.cfg.iq_size {
+            if self.rob.is_full() || self.iq.len() >= self.cfg.iq_size {
                 return;
             }
             let seq = match self.rob.iter().last() {
@@ -1306,6 +1331,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 None => (None, None),
             };
             let is_load = uop.is_load();
+            self.iq.push(seq, &src_phys, self.prf.int_regs());
             self.rob.push(Entry {
                 seq,
                 uop,
@@ -1324,7 +1350,6 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 fu_latency: 1,
                 faulted: false,
             });
-            self.iq_count += 1;
             self.stats.dispatched += 1;
             if is_load {
                 self.lq_count += 1;
@@ -1345,6 +1370,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     /// never reported to the ACE counter.
     fn squash_after(&mut self, seq: u64) {
         let squashed = self.rob.drain_after(seq);
+        self.iq.squash_after(seq);
         self.stats.squashed += squashed.len() as u64;
         if T::ENABLED {
             for e in &squashed {
@@ -1368,9 +1394,6 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                     self.poisoned_regs[fresh.flat(int_regs)] = 0;
                     self.phys_writer[fresh.flat(int_regs)] = None;
                 }
-            }
-            if e.in_iq {
-                self.iq_count -= 1;
             }
             if e.uop.is_load() {
                 self.lq_count -= 1;
@@ -1756,7 +1779,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         self.reg_ready.fill(0);
         self.retain_poison(None);
         self.arch_last_writer = [None; ArchReg::total_count()];
-        self.iq_count = 0;
+        self.iq.clear();
         self.lq_count = 0;
         self.sq_count = 0;
         self.fu.reset();
@@ -1809,7 +1832,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             self.arch_last_writer[arch.flat_index()] = Some(head_seq);
         }
         let head = self.rob.head().expect("head retained");
-        self.iq_count = usize::from(head.in_iq);
+        self.iq.squash_after(head_seq);
         self.lq_count = usize::from(head.uop.is_load());
         self.sq_count = usize::from(head.uop.is_store());
         self.fu.reset();
@@ -1951,8 +1974,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             }
             FaultTarget::Iq => {
                 let idx = f.entry as usize;
-                let seq = self.rob.iter().filter(|e| e.in_iq).nth(idx).map(|e| e.seq);
-                match seq {
+                match self.iq.nth(idx) {
                     Some(seq) => {
                         let e = self.rob.get_mut(seq).expect("selected resident");
                         if f.bit < 2 {
@@ -1961,7 +1983,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                             // eventually wedges (DUE) unless a squash or
                             // RAR's flush erases the entry first.
                             e.in_iq = false;
-                            self.iq_count -= 1;
+                            self.iq.remove(seq);
                             FaultLanding::Control
                         } else {
                             e.faulted = true;
@@ -2032,7 +2054,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             1 if e.in_iq => {
                 // Lost scheduler valid bit (see the IQ strike).
                 e.in_iq = false;
-                self.iq_count -= 1;
+                self.iq.remove(seq);
                 FaultLanding::Control
             }
             2..=7 if e.complete_at.is_some() && !e.completed(self.now) => {
@@ -2141,7 +2163,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         PipelineSnapshot {
             cycle: self.now,
             rob_occupancy: self.rob.len(),
-            iq_occupancy: self.iq_count,
+            iq_occupancy: self.iq.len(),
             lq_occupancy: self.lq_count,
             sq_occupancy: self.sq_count,
             in_runahead: self.mode.is_runahead(),
@@ -2201,15 +2223,6 @@ pub struct PipelineSnapshot {
     pub next_seq: u64,
     /// Instructions committed so far (since measurement start).
     pub committed: u64,
-}
-
-impl Entry {
-    fn src_phys_ready(&self, reg_ready: &[u64], int_regs: usize, now: u64) -> bool {
-        self.src_phys_cache
-            .iter()
-            .flatten()
-            .all(|p| reg_ready[p.flat(int_regs)] <= now)
-    }
 }
 
 #[cfg(test)]

@@ -64,7 +64,8 @@ pub struct TagePrediction {
     pub weak: bool,
 }
 
-/// A circular global-history register with folded-index helpers.
+/// A circular global-history register. Its capacity is a power of two,
+/// so a bit of any age up to the capacity is one masked load.
 #[derive(Debug, Clone)]
 struct GlobalHistory {
     bits: Vec<bool>,
@@ -74,24 +75,32 @@ struct GlobalHistory {
 impl GlobalHistory {
     fn new(capacity: usize) -> Self {
         GlobalHistory {
-            bits: vec![false; capacity],
+            bits: vec![false; capacity.next_power_of_two()],
             head: 0,
         }
     }
 
     fn push(&mut self, taken: bool) {
-        self.head = (self.head + 1) % self.bits.len();
+        self.head = (self.head + 1) & (self.bits.len() - 1);
         self.bits[self.head] = taken;
     }
 
-    /// Folds the most recent `len` history bits into `out_bits` bits.
+    /// The bit pushed `age` pushes ago (0 = the most recent).
+    fn bit(&self, age: usize) -> bool {
+        self.bits[self.head.wrapping_sub(age) & (self.bits.len() - 1)]
+    }
+
+    /// Folds the most recent `len` history bits into `out_bits` bits,
+    /// rescanning them one at a time. The reference for
+    /// [`FoldedHistory`], which keeps the same value up to date in O(1)
+    /// per pushed bit.
+    #[cfg(test)]
     fn fold(&self, len: u32, out_bits: u32) -> u64 {
         let mut acc: u64 = 0;
         let mut chunk: u64 = 0;
         let mut pos = 0;
         for i in 0..len as usize {
-            let idx = (self.head + self.bits.len() - i) % self.bits.len();
-            chunk = (chunk << 1) | u64::from(self.bits[idx]);
+            chunk = (chunk << 1) | u64::from(self.bit(i));
             pos += 1;
             if pos == out_bits {
                 acc ^= chunk;
@@ -104,6 +113,74 @@ impl GlobalHistory {
         }
         acc & ((1u64 << out_bits) - 1)
     }
+}
+
+/// The most recent `len` history bits folded into `width` bits, kept
+/// current as bits are pushed.
+///
+/// The fold cuts the history, newest first, into `width`-bit chunks and
+/// XORs them; within a chunk the newest bit is the most significant. A
+/// bit of age `a` in a whole chunk therefore sits at bit
+/// `width - 1 - a % width`, and the `tail_bits = len % width` oldest bits,
+/// which form a short last chunk, sit at `tail_bits - 1 - a % width`. So
+/// the value is `whole ^ tail`, where `whole` folds the ages below
+/// `whole_len = len - tail_bits` and `tail` holds the rest. A push ages
+/// every bit by one: `whole` rotates right by one bit, takes the new bit
+/// at the top and loses the bit now aged `whole_len` (which was at the
+/// top after the rotation, since `whole_len` is a multiple of `width`);
+/// that bit enters `tail` at its top as `tail` shifts right and drops its
+/// oldest bit.
+#[derive(Debug, Clone, Copy)]
+struct FoldedHistory {
+    width: u32,
+    whole_len: usize,
+    tail_bits: u32,
+    whole: u64,
+    tail: u64,
+}
+
+impl FoldedHistory {
+    /// The fold of an all-zero history.
+    fn new(len: u32, width: u32) -> Self {
+        debug_assert!(width < 64, "fold width must be at most 63 bits");
+        // A zero-width fold is always zero, like the fold of no bits.
+        let (len, width) = if width == 0 { (0, 1) } else { (len, width) };
+        let tail_bits = len % width;
+        FoldedHistory {
+            width,
+            whole_len: (len - tail_bits) as usize,
+            tail_bits,
+            whole: 0,
+            tail: 0,
+        }
+    }
+
+    fn value(&self) -> u64 {
+        self.whole ^ self.tail
+    }
+
+    /// Accounts for the bit `history` has just pushed.
+    fn push(&mut self, history: &GlobalHistory) {
+        let top = self.width - 1;
+        let newest = history.bit(0);
+        let leaving = history.bit(self.whole_len);
+        self.whole = (self.whole >> 1) | ((self.whole & 1) << top);
+        self.whole ^= u64::from(newest ^ leaving) << top;
+        if self.tail_bits > 0 {
+            self.tail = (self.tail >> 1) | (u64::from(leaving) << (self.tail_bits - 1));
+        }
+    }
+}
+
+/// The three folds one tagged table hashes with.
+#[derive(Debug, Clone, Copy)]
+struct TableFolds {
+    /// Into the index width.
+    index: FoldedHistory,
+    /// Into the tag width.
+    tag: FoldedHistory,
+    /// Into the tag width minus one.
+    tag_short: FoldedHistory,
 }
 
 /// The TAGE predictor.
@@ -126,7 +203,8 @@ pub struct Tage {
     base: Vec<u8>,
     tagged: Vec<Vec<TaggedEntry>>,
     history: GlobalHistory,
-    /// Path/PC history folded per-table at predict time.
+    /// Per tagged table, its history length folded to each hash width.
+    folds: Vec<TableFolds>,
     use_alt_on_new: i8,
     rng_state: u64,
 }
@@ -142,10 +220,20 @@ impl Tage {
             .map(|_| vec![TaggedEntry::default(); 1 << config.tagged_bits])
             .collect();
         let max_hist = config.history_lengths.iter().copied().max().unwrap_or(1) as usize + 1;
+        let folds = config
+            .history_lengths
+            .iter()
+            .map(|&len| TableFolds {
+                index: FoldedHistory::new(len, config.tagged_bits),
+                tag: FoldedHistory::new(len, config.tag_bits),
+                tag_short: FoldedHistory::new(len, config.tag_bits - 1),
+            })
+            .collect();
         Tage {
             base,
             tagged,
             history: GlobalHistory::new(max_hist.max(64)),
+            folds,
             use_alt_on_new: 0,
             rng_state: 0x9e37_79b9_7f4a_7c15,
             config,
@@ -157,22 +245,16 @@ impl Tage {
     }
 
     fn tagged_index(&self, pc: u64, table: usize) -> usize {
-        let h = self
-            .history
-            .fold(self.config.history_lengths[table], self.config.tagged_bits);
+        let h = self.folds[table].index.value();
         let pc_part = (pc >> 2) ^ (pc >> (2 + u64::from(self.config.tagged_bits)));
         ((pc_part ^ h ^ (table as u64).wrapping_mul(0x9e3779b9))
             & ((1 << self.config.tagged_bits) - 1)) as usize
     }
 
     fn tag(&self, pc: u64, table: usize) -> u16 {
-        let h = self
-            .history
-            .fold(self.config.history_lengths[table], self.config.tag_bits);
-        let h2 = self
-            .history
-            .fold(self.config.history_lengths[table], self.config.tag_bits - 1)
-            << 1;
+        let folds = &self.folds[table];
+        let h = folds.tag.value();
+        let h2 = folds.tag_short.value() << 1;
         (((pc >> 2) ^ h ^ h2) & ((1 << self.config.tag_bits) - 1)) as u16
     }
 
@@ -274,23 +356,15 @@ impl Tage {
         if mispredicted {
             let start = pred.provider.map_or(0, |t| t + 1);
             if start < self.tagged.len() {
-                // Gather candidate tables with useful == 0.
-                let mut allocated = false;
-                let r = self.next_rand();
+                // The first two candidate tables, those with useful == 0.
+                let mut candidates = (start..self.tagged.len())
+                    .filter(|&t| self.tagged[t][self.tagged_index(pc, t)].useful == 0);
+                let (first, second) = (candidates.next(), candidates.next());
                 // Probabilistically skip the first candidate to spread
                 // allocations across tables (as in Seznec's code).
-                let skip = (r & 1) as usize;
-                let mut candidates: Vec<usize> = Vec::new();
-                for t in start..self.tagged.len() {
-                    let idx = self.tagged_index(pc, t);
-                    if self.tagged[t][idx].useful == 0 {
-                        candidates.push(t);
-                    }
-                }
-                for (i, &t) in candidates.iter().enumerate() {
-                    if i < skip && candidates.len() > 1 {
-                        continue;
-                    }
+                let skip = self.next_rand() & 1 == 1;
+                let chosen = if skip { second.or(first) } else { first };
+                if let Some(t) = chosen {
                     let idx = self.tagged_index(pc, t);
                     let tag = self.tag(pc, t);
                     self.tagged[t][idx] = TaggedEntry {
@@ -298,10 +372,7 @@ impl Tage {
                         ctr: if taken { 0 } else { -1 },
                         useful: 0,
                     };
-                    allocated = true;
-                    break;
-                }
-                if !allocated {
+                } else {
                     // Decay useful bits so future allocations succeed.
                     for t in start..self.tagged.len() {
                         let idx = self.tagged_index(pc, t);
@@ -313,6 +384,11 @@ impl Tage {
         }
 
         self.history.push(taken);
+        for folds in &mut self.folds {
+            folds.index.push(&self.history);
+            folds.tag.push(&self.history);
+            folds.tag_short.push(&self.history);
+        }
     }
 
     /// Number of tagged tables.
@@ -416,6 +492,47 @@ mod tests {
             }
         }
         assert!(wrong <= 4, "{wrong} of 64 trained branches forgotten");
+    }
+
+    #[test]
+    fn folded_registers_match_the_bit_by_bit_fold() {
+        let cfg = TageConfig::budget_8kb();
+        let mut pairs = Vec::new();
+        for &len in &cfg.history_lengths {
+            for width in [cfg.tagged_bits, cfg.tag_bits, cfg.tag_bits - 1] {
+                pairs.push((len, width));
+            }
+        }
+        // A length below the width, a multiple of it, the longest length
+        // the register holds, and one-bit, empty and zero-width folds.
+        pairs.extend([(3, 8), (24, 8), (255, 7), (7, 1), (0, 5), (9, 0)]);
+        let mut history = GlobalHistory::new(256);
+        let mut folds: Vec<FoldedHistory> = pairs
+            .iter()
+            .map(|&(len, width)| FoldedHistory::new(len, width))
+            .collect();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Long runs of one value as well as random bits.
+            let taken = if step % 3_000 < 400 {
+                step % 6_000 < 3_000
+            } else {
+                x & 1 == 1
+            };
+            history.push(taken);
+            for (fold, &(len, width)) in folds.iter_mut().zip(&pairs) {
+                fold.push(&history);
+                assert_eq!(
+                    fold.value(),
+                    history.fold(len, width),
+                    "len {len} width {width} after {} pushes",
+                    step + 1
+                );
+            }
+        }
     }
 
     #[test]

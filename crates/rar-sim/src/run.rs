@@ -423,6 +423,32 @@ mod tests {
         core.width = 0;
         let err = Simulation::try_run(&SimConfig::builder().core(core).build()).unwrap_err();
         assert_eq!(err.field(), "width");
+
+        // Values the core cannot run: an empty stalling slice table, or a
+        // functional-unit class with no units, which wedges the pipeline.
+        let baseline = rar_core::CoreConfig::baseline;
+        let mut no_sst = baseline();
+        no_sst.sst_size = 0;
+        let mut no_mem_ports = baseline();
+        no_mem_ports.fu.mem_ports = 0;
+        let mut no_adders = baseline();
+        no_adders.fu.int_add = 0;
+        for technique in [Technique::Ooo, Technique::Rar] {
+            for (field, core) in [
+                ("sst_size", &no_sst),
+                ("fu.mem_ports", &no_mem_ports),
+                ("fu.int_add", &no_adders),
+            ] {
+                let cfg = SimConfig::builder()
+                    .technique(technique)
+                    .core(core.clone())
+                    .instructions(2_000)
+                    .warmup(500)
+                    .build();
+                let err = Simulation::try_run(&cfg).unwrap_err();
+                assert_eq!(err.field(), field, "{technique}");
+            }
+        }
     }
 
     #[test]

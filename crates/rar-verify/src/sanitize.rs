@@ -36,9 +36,10 @@ pub enum Invariant {
     /// ROB entries are age-ordered: sequence numbers strictly increase
     /// from head to tail.
     RobAgeOrder,
-    /// The incrementally-maintained IQ/LQ/SQ occupancy counters match the
-    /// ground truth recomputed from the ROB, and loads/stores stay within
-    /// queue capacity in program order.
+    /// The issue-queue list holds exactly the ROB's un-issued entries in
+    /// age order, the incrementally-maintained LQ/SQ occupancy counters
+    /// match the ground truth recomputed from the ROB, and loads/stores
+    /// stay within queue capacity in program order.
     LsqOrder,
     /// MSHR allocate/release balance:
     /// `allocations = releases + outstanding`, with `outstanding` and the
@@ -227,27 +228,53 @@ impl Sanitizer {
         }
     }
 
-    /// IQ/LQ/SQ occupancy counters versus ground truth from the ROB.
+    /// A view of the issue queue (`what`: its residents, or the ones
+    /// selected to issue) versus the same view recomputed from the ROB,
+    /// both as sequence numbers, oldest first.
+    pub fn check_issue_queue(
+        &mut self,
+        cycle: u64,
+        what: &str,
+        iq: impl IntoIterator<Item = u64>,
+        rob: impl IntoIterator<Item = u64>,
+    ) {
+        let (mut iq, mut rob) = (iq.into_iter(), rob.into_iter());
+        for pos in 0.. {
+            let (actual, expected) = (iq.next(), rob.next());
+            if actual == expected {
+                if actual.is_none() {
+                    return;
+                }
+                continue;
+            }
+            let show = |s: Option<u64>| s.map_or_else(|| "none".to_string(), |s| s.to_string());
+            self.record(Violation {
+                invariant: Invariant::LsqOrder,
+                cycle,
+                expected: expected.map_or(-1, i128::from),
+                actual: actual.map_or(-1, i128::from),
+                detail: format!(
+                    "{what} {pos}: seq {} in the issue queue, seq {} from the ROB",
+                    show(actual),
+                    show(expected)
+                ),
+            });
+            return;
+        }
+    }
+
+    /// LQ/SQ occupancy counters versus ground truth from the ROB.
     #[allow(clippy::too_many_arguments)]
     pub fn check_queue_counts(
         &mut self,
         cycle: u64,
-        iq_count: usize,
         lq_count: usize,
         sq_count: usize,
-        rob_in_iq: usize,
         rob_loads: usize,
         rob_stores: usize,
         lq_capacity: usize,
         sq_capacity: usize,
     ) {
-        self.check_eq(
-            Invariant::LsqOrder,
-            cycle,
-            rob_in_iq as i128,
-            iq_count as i128,
-            || format!("iq counter {iq_count} != {rob_in_iq} un-issued ROB entries"),
-        );
         self.check_eq(
             Invariant::LsqOrder,
             cycle,
@@ -356,7 +383,8 @@ mod tests {
         s.check_uop_conservation(10, 100, 60, 30, 10);
         s.check_prf(10, "int", 100, 32, 36, 168);
         s.check_rob_order(10, [1, 2, 5, 9]);
-        s.check_queue_counts(10, 3, 2, 1, 3, 2, 1, 64, 64);
+        s.check_issue_queue(10, "resident", [4, 6, 7], [4, 6, 7]);
+        s.check_queue_counts(10, 2, 1, 2, 1, 64, 64);
         s.check_mshr(10, 50, 45, 5, 20, 18);
         s.note_window_open(0);
         s.check_windows(10, 0, 0, true);
@@ -419,10 +447,26 @@ mod tests {
     #[test]
     fn queue_counter_drift_is_caught() {
         let mut s = Sanitizer::new(2);
-        s.check_queue_counts(8, 3, 5, 1, 3, 4, 1, 64, 64);
+        s.check_queue_counts(8, 5, 1, 4, 1, 64, 64);
         let v = s.first_violation().expect("violation");
         assert_eq!(v.invariant, Invariant::LsqOrder);
         assert!(v.detail.contains("lq counter"), "{}", v.detail);
+    }
+
+    #[test]
+    fn issue_queue_drift_is_caught() {
+        // A lost removal: seq 5 issued but is still listed.
+        let mut s = Sanitizer::new(2);
+        s.check_issue_queue(9, "resident", [4, 5, 6], [4, 6]);
+        let v = s.first_violation().expect("violation");
+        assert_eq!(v.invariant, Invariant::LsqOrder);
+        assert_eq!((v.expected, v.actual), (6, 5));
+        assert!(v.detail.contains("resident 1"), "{}", v.detail);
+        // A missing resident at the young end.
+        let mut s = Sanitizer::new(2);
+        s.check_issue_queue(9, "resident", [4], [4, 6]);
+        let v = s.first_violation().expect("violation");
+        assert_eq!((v.expected, v.actual), (6, -1));
     }
 
     #[test]
