@@ -82,16 +82,14 @@ pub struct Core<S, T: TraceSink = NullSink> {
     rat: Rat,
     arch_rat: Rat,
     prf: PhysRegFile,
-    /// Ready cycle per physical register (0 = ready, `u64::MAX` = pending
-    /// without a known completion yet).
-    reg_ready: Vec<u64>,
     /// In-flight producer sequence number per architectural register.
     arch_last_writer: [Option<u64>; ArchReg::total_count()],
     /// PC of the most recent writer of each architectural register —
     /// unlike the sequence table this survives commit, so slice learning
     /// can attribute producers even after they retire.
     arch_last_writer_pc: [Option<u64>; ArchReg::total_count()],
-    /// The ROB's un-issued entries, oldest first.
+    /// The ROB's un-issued entries, oldest first, and the ready cycle of
+    /// every physical register.
     iq: IssueQueue,
     lq_count: usize,
     sq_count: usize,
@@ -220,7 +218,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         let mut prf = PhysRegFile::new(cfg.int_regs, cfg.fp_regs);
         let rat = Rat::new(&mut prf);
         let arch_rat = rat.clone();
-        let reg_ready = vec![0u64; prf.total()];
+        let iq = IssueQueue::new(cfg.iq_size, prf.total());
         let poisoned_regs = vec![0u64; prf.total()];
         let phys_writer = vec![None; prf.total()];
         Core {
@@ -228,10 +226,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             rat,
             arch_rat,
             prf,
-            reg_ready,
             arch_last_writer: [None; ArchReg::total_count()],
             arch_last_writer_pc: [None; ArchReg::total_count()],
-            iq: IssueQueue::with_capacity(cfg.iq_size),
+            iq,
             lq_count: 0,
             sq_count: 0,
             fu: FuPool::new(&cfg.fu),
@@ -428,10 +425,22 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
 
     /// Runs until `n` instructions have been committed since the last
     /// measurement reset.
+    ///
+    /// Cycles in which no stage can act are skipped rather than ticked,
+    /// with every per-cycle tally credited as ticking would credit it, so
+    /// the result equals calling [`Core::cycle`] until `n` commit
+    /// (DESIGN.md §19).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core wedges: `n` have not committed after
+    /// `max(1000 n, 10^6)` cycles.
     pub fn run_until_committed(&mut self, n: u64) {
         let limit_cycles = self.now + n.saturating_mul(1_000).max(1_000_000);
         while self.stats.committed < n {
-            self.cycle();
+            if let Some(wait) = self.tick() {
+                self.skip_idle(wait, limit_cycles);
+            }
             assert!(
                 self.now < limit_cycles,
                 "simulation wedged: {} committed of {n} after {} cycles",
@@ -446,7 +455,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     /// wall-clock deadline. Unlike [`Core::run_until_committed`] a wedged
     /// simulation returns a verdict instead of panicking — fault-injection
     /// campaigns and sweep watchdogs classify the exhausted budget as a
-    /// hang (DUE) or a timeout.
+    /// hang (DUE) or a timeout. Idle cycles are skipped as in
+    /// [`Core::run_until_committed`], never past the budget, so a verdict
+    /// lands on the cycle ticking would reach.
     pub fn run_budgeted(
         &mut self,
         n: u64,
@@ -456,7 +467,11 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         let start_cycles = self.stats.cycles;
         let mut tick = 0u32;
         while self.stats.committed < n {
-            self.cycle();
+            if let Some(wait) = self.tick() {
+                let spent = self.stats.cycles - start_cycles;
+                let last = self.now.saturating_add(max_cycles.saturating_sub(spent));
+                self.skip_idle(wait, last);
+            }
             if self.stats.cycles - start_cycles >= max_cycles {
                 return RunVerdict::CycleBudget;
             }
@@ -471,16 +486,28 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         RunVerdict::Completed
     }
 
-    /// Advances the core by one cycle.
+    /// Advances the core by exactly one cycle. This is the reference the
+    /// run loops' fast-forward is checked against: calling it until `n`
+    /// instructions commit gives the same machine state and statistics as
+    /// [`Core::run_until_committed`].
     pub fn cycle(&mut self) {
-        // Activity snapshot for the stall classifier; `None` (the default)
-        // keeps the profiled-off cycle loop untouched.
-        let stall_pre = self.stall_profile.is_some().then_some((
+        let _ = self.tick();
+    }
+
+    /// Advances the core by one cycle. Each stage reports the first cycle
+    /// it can act on its own. When nothing committed, dispatched, issued or
+    /// ran ahead, returns the earliest of those, with the armed fault's
+    /// cycle and the next LLC-miss return, for [`Core::skip_idle`]. `None`
+    /// when the cycle moved, and always for runs that tick every cycle: a
+    /// live trace sink (its samples and event order), CRE (its engine acts
+    /// on its own schedule) and an open wrong-path episode.
+    fn tick(&mut self) -> Option<Wait> {
+        let pre = (
             self.stats.committed,
             self.stats.dispatched,
             self.stats.issued,
             self.stats.runahead_uops,
-        ));
+        );
         self.now += 1;
         self.stats.cycles += 1;
         if self.fault.is_some_and(|f| f.cycle <= self.now) {
@@ -515,14 +542,17 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 self.wrong_path_after = None;
             }
         }
-        self.commit_stage();
-        self.track_blocking_head();
-        self.issue_stage();
-        match &self.mode {
-            Mode::Normal if self.wrong_path_after.is_some() => self.dispatch_wrong_path(),
+        let commit = self.commit_stage();
+        let track = self.track_blocking_head();
+        let issue = self.issue_stage();
+        let mut wait = match &self.mode {
+            Mode::Normal if self.wrong_path_after.is_some() => {
+                self.dispatch_wrong_path();
+                Wait::at(self.now + 1)
+            }
             Mode::Normal => self.dispatch_stage(),
-            Mode::Runahead(_) => self.runahead_stage(),
-        }
+            Mode::Runahead(_) => Wait::at(self.runahead_stage()),
+        };
         if self.technique == Technique::Cre {
             self.cre_stage();
         }
@@ -533,24 +563,80 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 self.emit_sample();
             }
         }
-        if let Some(pre) = stall_pre {
-            self.stall_tally(pre);
-        }
-        #[cfg(feature = "sanitize")]
-        self.sanitize_check();
-    }
-
-    /// Attributes the cycle that just elapsed to exactly one
-    /// [`StallBucket`] (first match wins) and samples back-end occupancy.
-    /// Read-only over pipeline state, so profiled runs stay bit-identical.
-    fn stall_tally(&mut self, pre: (u64, u64, u64, u64)) {
         let (committed, dispatched, issued, runahead_uops) = pre;
         let retired = self.stats.committed > committed;
         let moved = retired
             || self.stats.dispatched > dispatched
             || self.stats.issued > issued
             || self.stats.runahead_uops > runahead_uops;
-        let bucket = if retired {
+        if self.stall_profile.is_some() {
+            let bucket = self.stall_bucket(retired, moved);
+            self.stall_tally(bucket, 1);
+        }
+        #[cfg(feature = "sanitize")]
+        self.sanitize_check();
+        if moved
+            || T::ENABLED
+            || self.technique == Technique::Cre
+            || self.wrong_path_after.is_some()
+        {
+            return None;
+        }
+        // Nothing moved, so no stage changed state another stage read
+        // earlier this cycle, and each report still holds.
+        wait.until = wait.until.min(commit).min(track).min(issue);
+        if let Some(f) = self.fault {
+            wait.until = wait.until.min(f.cycle);
+        }
+        // An LLC-miss return changes the MLP tally and the MSHR occupancy.
+        if let Some(&next_return) = self.active_misses.iter().min() {
+            wait.until = wait.until.min(next_return);
+        }
+        Some(wait)
+    }
+
+    /// Jumps over the idle cycles before `wait.until`, but never past
+    /// cycle `last`, crediting each exactly as ticking it would: `cycles`,
+    /// `head_blocked_cycles`, the full-structure counter dispatch bumps,
+    /// `runahead_cycles` and the entry stall, the MLP tally and the stall
+    /// profile (quiescent, at constant occupancy).
+    fn skip_idle(&mut self, wait: Wait, last: u64) {
+        let end = wait.until.saturating_sub(1).min(last);
+        if end <= self.now {
+            return;
+        }
+        let k = end - self.now;
+        self.now = end;
+        self.stats.cycles += k;
+        if self.blocking_head().is_some() {
+            self.stats.head_blocked_cycles += k;
+        }
+        match wait.full {
+            Some(Full::Rob) => self.stats.rob_full_cycles += k,
+            Some(Full::Iq) => self.stats.iq_full_cycles += k,
+            None => {}
+        }
+        if let Mode::Runahead(state) = &mut self.mode {
+            self.stats.runahead_cycles += k;
+            state.entry_stall = state.entry_stall.saturating_sub(k);
+        }
+        let misses = self.active_misses.len() as u64;
+        if misses > 0 {
+            self.stats.mlp_sum += misses * k;
+            self.stats.mlp_cycles += k;
+        }
+        if self.stall_profile.is_some() {
+            self.stall_tally(StallBucket::Quiescent, k);
+        }
+        #[cfg(feature = "sanitize")]
+        self.sanitize_check();
+    }
+
+    /// Classifies the cycle that just elapsed into exactly one
+    /// [`StallBucket`] (first match wins). Read-only over pipeline state,
+    /// so profiled runs stay bit-identical.
+    fn stall_bucket(&self, retired: bool, moved: bool) -> StallBucket {
+        if retired {
             StallBucket::Retiring
         } else if !moved {
             StallBucket::Quiescent
@@ -571,7 +657,12 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             StallBucket::Frontend
         } else {
             StallBucket::Exec
-        };
+        }
+    }
+
+    /// Attributes `cycles` cycles to `bucket` and samples back-end
+    /// occupancy for each of them.
+    fn stall_tally(&mut self, bucket: StallBucket, cycles: u64) {
         let occupancies = [
             self.rob.len(),
             self.iq.len(),
@@ -583,9 +674,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             .stall_profile
             .as_mut()
             .expect("stall_tally called only when profiling");
-        profile.tally(bucket);
+        profile.tally(bucket, cycles);
         for (row, occ) in occupancies.into_iter().enumerate() {
-            profile.observe_occupancy(row, occ);
+            profile.observe_occupancy(row, occ, cycles);
         }
     }
 
@@ -646,10 +737,10 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         );
         // Issue selection from the list versus the reference ROB walk:
         // the first `width` un-issued entries whose sources are ready.
+        // A remembered wake time must never hide a ready resident.
         let int_regs = self.prf.int_regs();
         let mut picked = Vec::new();
-        self.iq
-            .select_ready(&self.reg_ready, now, self.cfg.width, &mut picked);
+        self.iq.select_ready(now, self.cfg.width, &mut picked);
         let walked = self
             .rob
             .iter()
@@ -658,7 +749,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                     && e.src_phys_cache
                         .iter()
                         .flatten()
-                        .all(|p| self.reg_ready[p.flat(int_regs)] <= now)
+                        .all(|p| self.iq.ready_at(p.flat(int_regs)) <= now)
             })
             .map(|e| e.seq)
             .take(self.cfg.width);
@@ -722,7 +813,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     // Commit
     // ------------------------------------------------------------------
 
-    fn commit_stage(&mut self) {
+    /// Commits up to `width` completed head entries; returns the cycle the
+    /// head completes (`u64::MAX` when empty or not yet issued).
+    fn commit_stage(&mut self) -> u64 {
         for _ in 0..self.cfg.width {
             let Some(head) = self.rob.head() else { break };
             if !head.completed(self.now) {
@@ -749,7 +842,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             if let Some(old) = e.old_phys {
                 self.prf.free(old);
                 let flat = old.flat(self.prf.int_regs());
-                self.reg_ready[flat] = 0;
+                self.iq.set_ready(flat, 0);
                 if self.fault_active {
                     self.poisoned_regs[flat] = 0;
                     self.phys_writer[flat] = None;
@@ -786,6 +879,10 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 self.src.release_before(head_seq);
             }
         }
+        self.rob
+            .head()
+            .and_then(|h| h.complete_at)
+            .unwrap_or(u64::MAX)
     }
 
     fn record_ace_commit(&mut self, e: &Entry) {
@@ -859,7 +956,14 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         }
     }
 
-    fn track_blocking_head(&mut self) {
+    /// Tracks a blocking head: the ACE stall windows, the countdown timer,
+    /// FLUSH and the runahead triggers. Returns the first cycle it can act
+    /// on its own: the next cycle after a FLUSH (the full-ROB window closes
+    /// then), when an early trigger's timer fires, otherwise only after
+    /// another stage acts. The other trigger conditions cannot start to
+    /// hold while time passes alone: the remaining latency and TR's issue
+    /// age only move away from them.
+    fn track_blocking_head(&mut self) -> u64 {
         // Countdown-timer bookkeeping: which seq is at the head, since when.
         match self.rob.head().map(|h| h.seq) {
             Some(seq) => {
@@ -877,7 +981,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             if self.ace.window_open(StallKind::FullRobStall) {
                 self.close_stall_window(StallKind::FullRobStall);
             }
-            return;
+            return u64::MAX;
         };
 
         self.stats.head_blocked_cycles += 1;
@@ -899,7 +1003,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         }
 
         if self.mode.is_runahead() {
-            return;
+            return u64::MAX;
         }
 
         let blocked_cycles = self
@@ -920,16 +1024,16 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         {
             self.flushed_for = Some(blocking_seq);
             self.flush_behind_head(complete_at);
-            return;
+            return self.now + 1;
         }
 
         // Runahead triggers.
         let Some(features) = self.features else {
-            return;
+            return u64::MAX;
         };
         let remaining = complete_at - self.now;
         if remaining < self.cfg.min_runahead_benefit {
-            return;
+            return u64::MAX;
         }
         let full_stall = self.rob.is_full();
         let timer_fired = blocked_cycles >= self.cfg.runahead_timer;
@@ -939,7 +1043,10 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             full_stall
         };
         if !trigger {
-            return;
+            return match self.head_since {
+                Some((_, since)) if features.early => since.saturating_add(self.cfg.runahead_timer),
+                _ => u64::MAX,
+            };
         }
         if !features.lean {
             // TR's filter: only enter for loads issued to memory recently
@@ -947,7 +1054,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             let head = self.rob.head().expect("blocking head exists");
             let issued_at = head.issue_cycle.unwrap_or(self.now);
             if self.now.saturating_sub(issued_at) > self.cfg.tr_trigger_window {
-                return;
+                return u64::MAX;
             }
         }
         // The full-ROB condition dominates for attribution: an early timer
@@ -958,6 +1065,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             RunaheadTrigger::Timer
         };
         self.enter_runahead(blocking_seq, complete_at, features, reason);
+        u64::MAX
     }
 
     /// Closes an ACE stall window and forwards the recorded interval to the
@@ -986,13 +1094,14 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     /// Issues the first `width` issue-queue residents, oldest first, whose
     /// sources are ready. A candidate the functional units or a full MSHR
     /// file refuse keeps its slot without using issue bandwidth, and no
-    /// younger resident is considered in its place this cycle.
-    fn issue_stage(&mut self) {
+    /// younger resident is considered in its place this cycle. Returns the
+    /// first cycle a resident can issue: the queue's wake time, or the next
+    /// cycle when a ready candidate was refused or nothing is known.
+    fn issue_stage(&mut self) -> u64 {
         let now = self.now;
         let int_regs = self.prf.int_regs();
         let mut candidates = std::mem::take(&mut self.issue_scratch);
-        self.iq
-            .select_ready(&self.reg_ready, now, self.cfg.width, &mut candidates);
+        self.iq.select_ready(now, self.cfg.width, &mut candidates);
         let mut llc_miss_loads = std::mem::take(&mut self.miss_scratch);
         let mut issued = 0;
 
@@ -1075,7 +1184,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             }
 
             if let Some(phys) = dest_phys {
-                self.reg_ready[phys.flat(int_regs)] = complete_at;
+                self.iq.set_ready(phys.flat(int_regs), complete_at);
             }
             if kind == UopKind::Branch && mispredicted {
                 // The branch resolves at completion; fetch restarts after
@@ -1097,6 +1206,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         self.miss_scratch = llc_miss_loads;
         self.issue_scratch = candidates;
         self.stats.issued += issued;
+        self.iq.quiet_until().max(now + 1)
     }
 
     /// Walks the in-flight backward slice of the load at `seq` and inserts
@@ -1134,9 +1244,15 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     // Dispatch (normal mode)
     // ------------------------------------------------------------------
 
-    fn dispatch_stage(&mut self) {
-        if self.now < self.fetch_stall_until || self.wait_branch.is_some() {
-            return;
+    /// Dispatches up to `width` micro-ops and reports how dispatch waits
+    /// once it stops. An unresolved branch, a full LQ/SQ and an exhausted
+    /// PRF wait for another stage to act.
+    fn dispatch_stage(&mut self) -> Wait {
+        if self.wait_branch.is_some() {
+            return Wait::at(u64::MAX);
+        }
+        if self.now < self.fetch_stall_until {
+            return Wait::at(self.fetch_stall_until);
         }
         // THROTTLE (Soundararajan et al.): maintain a hard occupancy bound
         // on the back-end — dispatch narrows (default: stops) whenever the
@@ -1150,16 +1266,22 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             self.cfg.width
         };
         if width == 0 {
-            return;
+            return Wait::at(u64::MAX);
         }
         for _ in 0..width {
             if self.rob.is_full() {
                 self.stats.rob_full_cycles += 1;
-                return;
+                return Wait {
+                    until: u64::MAX,
+                    full: Some(Full::Rob),
+                };
             }
             if self.iq.len() >= self.cfg.iq_size {
                 self.stats.iq_full_cycles += 1;
-                return;
+                return Wait {
+                    until: u64::MAX,
+                    full: Some(Full::Iq),
+                };
             }
             let uop = self.src.get(self.next_seq).clone();
 
@@ -1174,15 +1296,15 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                     .expect("ifetch never stalls");
                 if out.level != HitLevel::L1 {
                     self.fetch_stall_until = out.complete_at;
-                    return;
+                    return Wait::at(out.complete_at);
                 }
             }
 
             if uop.is_load() && self.lq_count >= self.cfg.lq_size {
-                return;
+                return Wait::at(u64::MAX);
             }
             if uop.is_store() && self.sq_count >= self.cfg.sq_size {
-                return;
+                return Wait::at(u64::MAX);
             }
             // Rename.
             let mut src_phys = [None, None];
@@ -1194,9 +1316,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             let (dest_phys, old_phys) = match uop.dest() {
                 Some(dest) => {
                     let Some(fresh) = self.prf.alloc(dest.class()) else {
-                        return; // rename stalls on PRF exhaustion
+                        return Wait::at(u64::MAX); // rename stalls on PRF exhaustion
                     };
-                    self.reg_ready[fresh.flat(self.prf.int_regs())] = u64::MAX;
+                    self.iq.set_ready(fresh.flat(self.prf.int_regs()), u64::MAX);
                     if self.fault_active {
                         self.phys_writer[fresh.flat(self.prf.int_regs())] =
                             Some((self.next_seq, false));
@@ -1264,10 +1386,11 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                     self.wait_branch = Some(self.next_seq);
                 }
                 self.next_seq += 1;
-                return;
+                return Wait::at(self.now + 1);
             }
             self.next_seq += 1;
         }
+        Wait::at(self.now + 1)
     }
 
     fn wp_next(&mut self) -> u64 {
@@ -1321,7 +1444,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                     let Some(fresh) = self.prf.alloc(dest.class()) else {
                         return;
                     };
-                    self.reg_ready[fresh.flat(self.prf.int_regs())] = u64::MAX;
+                    self.iq.set_ready(fresh.flat(self.prf.int_regs()), u64::MAX);
                     if self.fault_active {
                         self.phys_writer[fresh.flat(self.prf.int_regs())] = Some((seq, true));
                     }
@@ -1389,7 +1512,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 let current = self.rat.rename(dest, old);
                 debug_assert_eq!(current, fresh, "RAT rollback out of order");
                 self.prf.free(fresh);
-                self.reg_ready[fresh.flat(int_regs)] = 0;
+                self.iq.set_ready(fresh.flat(int_regs), 0);
                 if self.fault_active {
                     self.poisoned_regs[fresh.flat(int_regs)] = 0;
                     self.phys_writer[fresh.flat(int_regs)] = None;
@@ -1461,14 +1584,17 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         });
     }
 
-    fn runahead_stage(&mut self) {
+    /// Runs the runahead engine for a cycle and returns the first cycle it
+    /// can act on its own: after the entry stall, or at the exit once it
+    /// reached the depth limit.
+    fn runahead_stage(&mut self) -> u64 {
         let Mode::Runahead(state) = &self.mode else {
-            return;
+            return self.now + 1;
         };
         let features = self.features.expect("runahead implies features");
         if self.now >= state.exit_at {
             self.exit_runahead();
-            return;
+            return self.now + 1;
         }
         self.stats.runahead_cycles += 1;
 
@@ -1477,7 +1603,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         };
         if state.entry_stall > 0 {
             state.entry_stall -= 1;
-            return;
+            return state.exit_at.min(self.now + state.entry_stall + 1);
         }
         let mut fetch_budget = self.cfg.width;
         // Vector runahead packs several chain iterations into one issue
@@ -1498,7 +1624,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 unreachable!()
             };
             if state.ra_seq >= depth_limit {
-                break;
+                return state.exit_at;
             }
             let seq = state.ra_seq;
             let uop = self.src.get(seq).clone();
@@ -1603,6 +1729,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 });
             }
         }
+        self.now + 1
     }
 
     fn exit_runahead(&mut self) {
@@ -1776,7 +1903,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         }
         self.rat = self.arch_rat.clone();
         self.prf.reset_free_except(&self.arch_rat.live_regs());
-        self.reg_ready.fill(0);
+        self.iq.reset_ready();
         self.retain_poison(None);
         self.arch_last_writer = [None; ArchReg::total_count()];
         self.iq.clear();
@@ -1822,10 +1949,11 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             live.push(phys);
         }
         self.prf.reset_free_except(&live);
-        self.reg_ready.fill(0);
+        self.iq.reset_ready();
         self.retain_poison(head_dest.map(|(_, phys)| phys));
         if let Some((_, phys)) = head_dest {
-            self.reg_ready[phys.flat(self.prf.int_regs())] = head_complete.unwrap_or(0);
+            self.iq
+                .set_ready(phys.flat(self.prf.int_regs()), head_complete.unwrap_or(0));
         }
         self.arch_last_writer = [None; ArchReg::total_count()];
         if let Some((arch, _)) = head_dest {
@@ -2064,7 +2192,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 let c = e.complete_at.expect("checked above") ^ (1 << (4 + 4 * (bit - 2)));
                 e.complete_at = Some(c);
                 if let Some(p) = e.dest_phys {
-                    self.reg_ready[p.flat(int_regs)] = c;
+                    self.iq.set_ready(p.flat(int_regs), c);
                 }
                 FaultLanding::Control
             }
@@ -2133,7 +2261,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             return FaultLanding::Vacant;
         }
         let flat = reg.flat(self.prf.int_regs());
-        if self.reg_ready[flat] == u64::MAX {
+        if self.iq.ready_at(flat) == u64::MAX {
             // Allocated but never written: the flipped bit is overwritten
             // at writeback before any consumer can read it.
             return FaultLanding::Vacant;
@@ -2184,6 +2312,34 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             self.stats.mlp_cycles += 1;
         }
     }
+}
+
+/// How an idle core waits, as the run loops' fast-forward reads it
+/// ([`Core::skip_idle`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Wait {
+    /// The first cycle a stage can act on its own (`u64::MAX`: only after
+    /// another stage acts).
+    until: u64,
+    /// Dispatch stopped at a full ROB or issue queue, which it counts
+    /// (`rob_full_cycles`, `iq_full_cycles`) every cycle it waits.
+    full: Option<Full>,
+}
+
+impl Wait {
+    fn at(cycle: u64) -> Wait {
+        Wait {
+            until: cycle,
+            full: None,
+        }
+    }
+}
+
+/// The back-end structure a waiting dispatch found full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Full {
+    Rob,
+    Iq,
 }
 
 /// How a budgeted run ([`Core::run_budgeted`]) ended.

@@ -13,7 +13,13 @@
 //! at once; our timing model uses it as a concurrency cap on in-flight
 //! runahead slice operations.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Fully-associative, LRU table of slice program counters.
+///
+/// A PC → slot index answers lookups without scanning; only eviction
+/// scans for the least recently used slot.
 ///
 /// # Examples
 ///
@@ -27,6 +33,8 @@
 #[derive(Debug, Clone)]
 pub struct Sst {
     entries: Vec<(u64, u64)>, // (pc, last_use)
+    /// Each resident PC's lowest slot in `entries`.
+    slots: HashMap<u64, usize, BuildHasherDefault<PcHasher>>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -39,6 +47,7 @@ impl Sst {
     pub fn new(capacity: usize) -> Self {
         Sst {
             entries: Vec::with_capacity(capacity),
+            slots: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             capacity,
             tick: 0,
             hits: 0,
@@ -50,20 +59,31 @@ impl Sst {
     pub fn insert(&mut self, pc: u64) {
         self.tick += 1;
         let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == pc) {
-            e.1 = tick;
+        if let Some(&i) = self.slots.get(&pc) {
+            self.entries[i].1 = tick;
             return;
         }
         if self.entries.len() < self.capacity {
+            self.slots.insert(pc, self.entries.len());
             self.entries.push((pc, tick));
             return;
         }
-        let lru = self
+        let (victim, _) = self
             .entries
-            .iter_mut()
-            .min_by_key(|(_, t)| *t)
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, (_, t))| *t)
             .expect("capacity is nonzero");
-        *lru = (pc, tick);
+        let evicted = self.entries[victim].0;
+        self.entries[victim] = (pc, tick);
+        self.slots.insert(pc, victim);
+        if self.slots.get(&evicted) == Some(&victim) {
+            // A corrupted tag may duplicate `evicted` in a higher slot.
+            match self.entries.iter().position(|(p, _)| *p == evicted) {
+                Some(i) => self.slots.insert(evicted, i),
+                None => self.slots.remove(&evicted),
+            };
+        }
     }
 
     /// True if `pc` belongs to a known stalling slice; refreshes LRU and
@@ -71,8 +91,8 @@ impl Sst {
     pub fn contains(&mut self, pc: u64) -> bool {
         self.tick += 1;
         self.lookups += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == pc) {
-            e.1 = self.tick;
+        if let Some(&i) = self.slots.get(&pc) {
+            self.entries[i].1 = self.tick;
             self.hits += 1;
             true
         } else {
@@ -102,14 +122,41 @@ impl Sst {
     /// Returns `false` when the addressed slot is vacant. The corrupted
     /// tag changes future slice-membership decisions only — the SST is
     /// pure prefetch metadata, so the architectural effect is timing.
+    /// The flip can duplicate another slot's tag; lookups then hit the
+    /// lowest such slot.
     pub fn corrupt_entry(&mut self, idx: usize, bit: u64) -> bool {
-        match self.entries.get_mut(idx) {
-            Some(e) => {
-                e.0 ^= 1 << (bit % 48);
-                true
-            }
-            None => false,
+        let Some(e) = self.entries.get_mut(idx) else {
+            return false;
+        };
+        e.0 ^= 1 << (bit % 48);
+        self.slots.clear();
+        for (i, &(pc, _)) in self.entries.iter().enumerate() {
+            self.slots.entry(pc).or_insert(i);
         }
+        true
+    }
+}
+
+/// Multiplicative hashing for the SST's PC keys (no dependency, and PCs
+/// come from the simulated program, not from outside input).
+#[derive(Debug, Default, Clone, Copy)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high half depends on every key bit; fold it into
+        // the low bits the table indexes with.
+        self.0 ^ (self.0 >> 32)
     }
 }
 
@@ -191,6 +238,110 @@ mod tests {
         sst.insert(0x10);
         sst.insert(0x10);
         assert_eq!(sst.len(), 1);
+    }
+
+    /// The linear-scan table the PC index replaced: the reference the
+    /// seeded twin compares against.
+    struct LinearSst {
+        entries: Vec<(u64, u64)>,
+        capacity: usize,
+        tick: u64,
+        hits: u64,
+        lookups: u64,
+    }
+
+    impl LinearSst {
+        fn insert(&mut self, pc: u64) {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == pc) {
+                e.1 = tick;
+                return;
+            }
+            if self.entries.len() < self.capacity {
+                self.entries.push((pc, tick));
+                return;
+            }
+            let lru = self
+                .entries
+                .iter_mut()
+                .min_by_key(|(_, t)| *t)
+                .expect("capacity is nonzero");
+            *lru = (pc, tick);
+        }
+
+        fn contains(&mut self, pc: u64) -> bool {
+            self.tick += 1;
+            self.lookups += 1;
+            if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == pc) {
+                e.1 = self.tick;
+                self.hits += 1;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn corrupt_entry(&mut self, idx: usize, bit: u64) -> bool {
+            match self.entries.get_mut(idx) {
+                Some(e) => {
+                    e.0 ^= 1 << (bit % 48);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_table_matches_the_linear_scan() {
+        // Few distinct PCs one bit apart, so small tables evict constantly
+        // and corrupted tags often duplicate resident ones.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for capacity in [1, 2, 3, 5, 8] {
+            let mut sst = Sst::new(capacity);
+            let mut reference = LinearSst {
+                entries: Vec::new(),
+                capacity,
+                tick: 0,
+                hits: 0,
+                lookups: 0,
+            };
+            for step in 0..20_000 {
+                let pc = 0x400 + rand(12) * 4;
+                match rand(10) {
+                    0..=3 => {
+                        sst.insert(pc);
+                        reference.insert(pc);
+                    }
+                    4 => {
+                        let (idx, bit) = (rand(capacity as u64 + 1) as usize, 2 + rand(3));
+                        assert_eq!(
+                            sst.corrupt_entry(idx, bit),
+                            reference.corrupt_entry(idx, bit),
+                            "capacity {capacity} step {step}"
+                        );
+                    }
+                    _ => assert_eq!(
+                        sst.contains(pc),
+                        reference.contains(pc),
+                        "capacity {capacity} step {step}"
+                    ),
+                }
+                assert_eq!(
+                    sst.entries, reference.entries,
+                    "capacity {capacity} step {step}"
+                );
+                assert_eq!(sst.hit_stats(), (reference.hits, reference.lookups));
+                assert_eq!(sst.len(), reference.entries.len());
+            }
+        }
     }
 
     #[test]

@@ -69,12 +69,17 @@ impl MshrFile {
 
     /// Tries to allocate an entry for `line` completing at `complete_at`.
     /// Returns `false` when the file is full (the access must stall).
+    /// A line still in flight (its L1 copy was evicted before the fill
+    /// returned, so the access missed again) gets the new entry, and the
+    /// one it replaces counts as released.
     pub fn allocate(&mut self, line: u64, complete_at: u64, now: u64) -> bool {
         self.expire(now);
         if self.inflight.len() >= self.capacity {
             return false;
         }
-        self.inflight.insert(line, complete_at);
+        if self.inflight.insert(line, complete_at).is_some() {
+            self.released += 1;
+        }
         self.allocations += 1;
         self.peak = self.peak.max(self.inflight.len());
         true
@@ -230,6 +235,20 @@ mod tests {
         m.expire(100);
         assert_eq!(m.released(), 3);
         assert_eq!(m.resident(), 0);
+    }
+
+    #[test]
+    fn reallocating_an_in_flight_line_releases_the_old_entry() {
+        let mut m = MshrFile::new(4);
+        assert!(m.allocate(0x40, 100, 0));
+        assert!(m.allocate(0x40, 180, 20), "re-miss on an in-flight line");
+        assert_eq!(m.allocations(), 2);
+        assert_eq!(m.released(), 1);
+        assert_eq!(m.resident(), 1);
+        assert_eq!(m.allocations(), m.released() + m.resident() as u64);
+        assert_eq!(m.lookup(0x40, 120), Some(180), "the newer fetch wins");
+        m.expire(180);
+        assert_eq!(m.allocations(), m.released() + m.resident() as u64);
     }
 
     #[test]

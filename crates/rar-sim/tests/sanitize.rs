@@ -46,3 +46,19 @@ fn every_technique_passes_the_sanitizer_on_a_memory_bound_workload() {
         assert!(r.stats.committed >= 4_000, "{t}: run did not complete");
     }
 }
+
+#[test]
+fn a_re_missed_in_flight_line_keeps_the_mshr_file_balanced() {
+    // The line's L1 copy is evicted before its fill returns, so the next
+    // access misses again and reallocates the in-flight line's MSHR.
+    let r = Simulation::run(
+        &SimConfig::builder()
+            .workload("mcf")
+            .technique(Technique::Ooo)
+            .seed(2)
+            .instructions(8_000)
+            .warmup(2_000)
+            .build(),
+    );
+    assert!(r.stats.committed >= 8_000, "run did not complete");
+}
