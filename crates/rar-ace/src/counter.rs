@@ -3,6 +3,20 @@
 use crate::structure::Structure;
 use crate::window::{StallKind, WindowSet};
 
+/// One committed occupancy interval, as recorded by
+/// [`AceCounter::with_logging`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoggedInterval {
+    /// Structure the bits lived in.
+    pub structure: Structure,
+    /// Vulnerable bits held.
+    pub bits: u64,
+    /// First vulnerable cycle (inclusive).
+    pub start: u64,
+    /// Last vulnerable cycle (exclusive).
+    pub end: u64,
+}
+
 /// Accumulates ACE bit-cycles per structure, with stall-window attribution.
 ///
 /// The core calls [`AceCounter::record_committed`] once per resource
@@ -35,8 +49,8 @@ pub struct AceCounter {
     windows: [WindowSet; StallKind::COUNT],
     abc_in_window: [u128; StallKind::COUNT],
     /// When `Some`, every committed interval is also recorded for
-    /// fault-injection campaigns (see [`crate::inject`]).
-    log: Option<Vec<crate::inject::LoggedInterval>>,
+    /// phase analysis (see [`crate::phase`]).
+    log: Option<Vec<LoggedInterval>>,
 }
 
 impl AceCounter {
@@ -63,7 +77,7 @@ impl AceCounter {
         let cycles = end - start;
         self.abc[structure.index()] += u128::from(bits) * u128::from(cycles);
         if let Some(log) = &mut self.log {
-            log.push(crate::inject::LoggedInterval {
+            log.push(LoggedInterval {
                 structure,
                 bits,
                 start,
@@ -228,7 +242,16 @@ impl AceCounter {
         self.abc
     }
 
-    /// Starts recording committed intervals for fault injection.
+    /// Creates a counter that additionally records every committed
+    /// interval.
+    #[must_use]
+    pub fn with_logging() -> Self {
+        let mut c = AceCounter::new();
+        c.enable_logging();
+        c
+    }
+
+    /// Starts recording committed intervals.
     pub fn enable_logging(&mut self) {
         if self.log.is_none() {
             self.log = Some(Vec::new());
@@ -237,7 +260,7 @@ impl AceCounter {
 
     /// The recorded interval log (empty unless logging was enabled).
     #[must_use]
-    pub fn interval_log(&self) -> &[crate::inject::LoggedInterval] {
+    pub fn interval_log(&self) -> &[LoggedInterval] {
         self.log.as_deref().unwrap_or(&[])
     }
 }

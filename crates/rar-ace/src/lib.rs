@@ -41,16 +41,14 @@
 
 pub mod bits;
 pub mod counter;
-pub mod inject;
 pub mod metrics;
 pub mod phase;
 pub mod structure;
 pub mod window;
 
 pub use bits::EntryBits;
-pub use counter::AceCounter;
-pub use inject::{FaultCampaign, InjectionEstimate, OccupancyProfile};
+pub use counter::{AceCounter, LoggedInterval};
 pub use metrics::{avf, mttf_relative, ReliabilityReport, StructureCapacities};
-pub use phase::PhaseSeries;
+pub use phase::{OccupancyProfile, PhaseSeries};
 pub use structure::Structure;
 pub use window::{StallKind, WindowSet};

@@ -7,9 +7,145 @@
 //! windowed AVF series, which the `vulnerability_phases` example plots as
 //! a terminal sparkline and which downstream users can feed into
 //! phase-aware scheduling studies (the authors' own HPCA 2017 work).
+//!
+//! # Examples
+//!
+//! ```
+//! use rar_ace::{AceCounter, OccupancyProfile, Structure};
+//!
+//! let mut ace = AceCounter::with_logging();
+//! ace.record_committed(Structure::Rob, 120, 0, 100);
+//! let profile = OccupancyProfile::from_log(ace.interval_log());
+//! assert_eq!(profile.ace_bits(Structure::Rob, 50), 120);
+//! assert_eq!(profile.ace_bits(Structure::Rob, 100), 0);
+//! ```
 
-use crate::inject::OccupancyProfile;
+use crate::counter::LoggedInterval;
 use crate::metrics::StructureCapacities;
+use crate::structure::Structure;
+
+/// A per-structure step function: how many committed-ACE bits each
+/// structure held at any cycle. Built once from the interval log;
+/// queries are `O(log n)`.
+#[derive(Debug, Clone)]
+pub struct OccupancyProfile {
+    /// Per structure: sorted event times and the ACE-bit level *after*
+    /// each event.
+    steps: [Vec<(u64, u64)>; Structure::COUNT],
+}
+
+impl OccupancyProfile {
+    /// Builds the profile from a recorded interval log.
+    #[must_use]
+    pub fn from_log(log: &[LoggedInterval]) -> Self {
+        let mut events: [Vec<(u64, i64)>; Structure::COUNT] = Default::default();
+        for iv in log {
+            let e = &mut events[iv.structure.index()];
+            e.push((iv.start, iv.bits as i64));
+            e.push((iv.end, -(iv.bits as i64)));
+        }
+        let mut steps: [Vec<(u64, u64)>; Structure::COUNT] = Default::default();
+        for (s, mut ev) in events.into_iter().enumerate() {
+            ev.sort_unstable();
+            let mut level: i64 = 0;
+            let mut out: Vec<(u64, u64)> = Vec::with_capacity(ev.len());
+            for (t, delta) in ev {
+                level += delta;
+                debug_assert!(level >= 0, "interval accounting went negative");
+                match out.last_mut() {
+                    Some(last) if last.0 == t => last.1 = level as u64,
+                    _ => out.push((t, level as u64)),
+                }
+            }
+            steps[s] = out;
+        }
+        OccupancyProfile { steps }
+    }
+
+    /// Committed-ACE bits resident in `structure` at `cycle`.
+    #[must_use]
+    pub fn ace_bits(&self, structure: Structure, cycle: u64) -> u64 {
+        let steps = &self.steps[structure.index()];
+        match steps.partition_point(|&(t, _)| t <= cycle) {
+            0 => 0,
+            i => steps[i - 1].1,
+        }
+    }
+
+    /// The [first, last) event-time span of the recorded intervals.
+    /// Useful for choosing the analysed cycle range when the log was
+    /// captured after a measurement reset (interval timestamps are
+    /// absolute core cycles).
+    #[must_use]
+    pub fn span(&self) -> std::ops::Range<u64> {
+        let start = self
+            .steps
+            .iter()
+            .filter_map(|s| s.first().map(|&(t, _)| t))
+            .min()
+            .unwrap_or(0);
+        let end = self
+            .steps
+            .iter()
+            .filter_map(|s| s.last().map(|&(t, _)| t))
+            .max()
+            .unwrap_or(0);
+        start..end
+    }
+
+    /// Exact ABC recomputed from the profile (validates the log against
+    /// the counter's running totals).
+    #[must_use]
+    pub fn total_abc(&self) -> u128 {
+        let mut total: u128 = 0;
+        for steps in &self.steps {
+            for w in steps.windows(2) {
+                total += u128::from(w[0].1) * u128::from(w[1].0 - w[0].0);
+            }
+        }
+        total
+    }
+
+    /// Exact ACE bit-cycles accumulated in `[start, end)`.
+    #[must_use]
+    pub fn abc_between(&self, start: u64, end: u64) -> u128 {
+        if end <= start {
+            return 0;
+        }
+        let mut total: u128 = 0;
+        for s in Structure::ALL {
+            total += self.structure_abc_between(s, start, end);
+        }
+        total
+    }
+
+    fn structure_abc_between(&self, structure: Structure, start: u64, end: u64) -> u128 {
+        let steps = &self.steps[structure.index()];
+        if steps.is_empty() {
+            return 0;
+        }
+        let mut total: u128 = 0;
+        // Level before the first step is 0; walk the step segments that
+        // intersect [start, end).
+        let mut idx = steps.partition_point(|&(t, _)| t <= start);
+        let mut t = start;
+        let mut level = if idx == 0 { 0 } else { steps[idx - 1].1 };
+        while t < end {
+            let next_t = if idx < steps.len() {
+                steps[idx].0.min(end)
+            } else {
+                end
+            };
+            total += u128::from(level) * u128::from(next_t - t);
+            t = next_t;
+            if idx < steps.len() && steps[idx].0 <= t {
+                level = steps[idx].1;
+                idx += 1;
+            }
+        }
+        total
+    }
+}
 
 /// AVF sampled over fixed-width cycle windows.
 #[derive(Debug, Clone)]
@@ -117,62 +253,28 @@ impl PhaseSeries {
     }
 }
 
-impl OccupancyProfile {
-    /// Exact ACE bit-cycles accumulated in `[start, end)`.
-    #[must_use]
-    pub fn abc_between(&self, start: u64, end: u64) -> u128 {
-        if end <= start {
-            return 0;
-        }
-        let mut total: u128 = 0;
-        for s in crate::structure::Structure::ALL {
-            total += self.structure_abc_between(s, start, end);
-        }
-        total
-    }
-
-    fn structure_abc_between(
-        &self,
-        structure: crate::structure::Structure,
-        start: u64,
-        end: u64,
-    ) -> u128 {
-        let steps = self.steps_of(structure);
-        if steps.is_empty() {
-            return 0;
-        }
-        let mut total: u128 = 0;
-        // Level before the first step is 0; walk the step segments that
-        // intersect [start, end).
-        let mut idx = steps.partition_point(|&(t, _)| t <= start);
-        let mut t = start;
-        let mut level = if idx == 0 { 0 } else { steps[idx - 1].1 };
-        while t < end {
-            let next_t = if idx < steps.len() {
-                steps[idx].0.min(end)
-            } else {
-                end
-            };
-            total += u128::from(level) * u128::from(next_t - t);
-            t = next_t;
-            if idx < steps.len() && steps[idx].0 <= t {
-                level = steps[idx].1;
-                idx += 1;
-            }
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bits::EntryBits;
     use crate::counter::AceCounter;
-    use crate::structure::Structure;
 
     fn caps() -> StructureCapacities {
         StructureCapacities::from_entries(&EntryBits::table_iii(), 192, 92, 64, 64, 168, 168, 5, 3)
+    }
+
+    #[test]
+    fn profile_reconstructs_abc() {
+        let mut ace = AceCounter::with_logging();
+        ace.record_committed(Structure::Rob, 120, 10, 200);
+        ace.record_committed(Structure::Rob, 120, 50, 120);
+        ace.record_committed(Structure::Iq, 80, 0, 40);
+        let profile = OccupancyProfile::from_log(ace.interval_log());
+        assert_eq!(profile.total_abc(), ace.total_abc());
+        assert_eq!(profile.ace_bits(Structure::Rob, 60), 240);
+        assert_eq!(profile.ace_bits(Structure::Rob, 150), 120);
+        assert_eq!(profile.ace_bits(Structure::Iq, 39), 80);
+        assert_eq!(profile.ace_bits(Structure::Iq, 40), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ struct Resident {
 }
 
 /// The issue-queue residents in age order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct IssueQueue {
     residents: VecDeque<Resident>,
     /// Ready cycle per flat physical register (0 = ready, `u64::MAX` =

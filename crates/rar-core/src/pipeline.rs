@@ -67,7 +67,11 @@ use rar_verify::AceRefinement;
 /// core.run_until_committed(10_000);
 /// assert!(core.stats().ipc() > 1.0, "independent ALU ops should flow");
 /// ```
-#[derive(Debug)]
+///
+/// A clone is an independent core at the same cycle with the same state,
+/// so running it gives the same results as running the original
+/// (fault-injection campaigns restore golden-run checkpoints this way).
+#[derive(Debug, Clone)]
 pub struct Core<S, T: TraceSink = NullSink> {
     cfg: CoreConfig,
     technique: Technique,
@@ -415,8 +419,9 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         self.stall_profile.as_deref()
     }
 
-    /// Enables recording of committed occupancy intervals for
-    /// fault-injection campaigns ([`rar_ace::inject`]). Survives
+    /// Enables recording of committed occupancy intervals
+    /// ([`AceCounter::interval_log`], the input of
+    /// [`rar_ace::OccupancyProfile`]). Survives
     /// [`Core::reset_measurement`].
     pub fn enable_ace_logging(&mut self) {
         self.ace_logging = true;

@@ -7,7 +7,7 @@
 //! * **Golden run.** One fault-free execution establishes the commit
 //!   digest (the architectural reference), the strike window in absolute
 //!   core cycles, and the ACE/AVF estimates the campaign cross-validates.
-//! * **Injected runs.** Each run re-executes the identical configuration
+//! * **Injected runs.** Each run executes the identical configuration
 //!   with one [`PlannedFault`] armed. The outcome taxonomy follows the
 //!   statistical fault-injection literature: a strike into an unoccupied
 //!   slot is *vacant* (masked by construction — keeping vacancy in the
@@ -16,6 +16,12 @@
 //!   one is *masked*; a digest mismatch is *SDC*; a run that exhausts the
 //!   cycle-budget watchdog is a *hang DUE*, and a panic inside the model
 //!   is caught by the campaign runner as a *panic DUE*.
+//! * **Checkpointed campaigns.** [`InjectionHarness::execute`] builds a
+//!   cold core and simulates the whole run: it is the reference.
+//!   Campaigns replay the golden run once, keep [`CHECKPOINTS`] clones of
+//!   the core ([`GoldenCheckpoints`]) and start each injection from the
+//!   latest clone before its strike, stopping at the strike when it lands
+//!   vacant (DESIGN.md §13). Outcomes and predictions are the reference's.
 //! * **Cross-validation.** [`InjectionHarness::ace_avf`] reports the
 //!   ACE-estimated AVF (unrefined and liveness-refined) for each
 //!   ACE-comparable target, so a campaign's per-structure vulnerability
@@ -25,14 +31,14 @@
 use crate::config::SimConfig;
 use crate::run::{refinement_horizon, RunArtifacts};
 use rar_ace::{Structure, StructureCapacities};
-use rar_core::{Core, FaultLanding, NullSink, PlannedFault, RunVerdict, SiteSampler};
+use rar_core::{Core, FaultLanding, FaultTarget, NullSink, PlannedFault, RunVerdict, SiteSampler};
 use rar_inject::{
     run_campaign, CampaignResult, CampaignSpec, Outcome, StratifiedTally, Stratum, TargetTally,
 };
 use rar_isa::TraceWindow;
 use rar_telemetry::MetricsRegistry;
 use rar_verify::ConfigError;
-use rar_workloads::TracePrefix;
+use rar_workloads::{SharedTraceIter, TracePrefix};
 use std::time::{Duration, Instant};
 
 /// Cycle-budget multiple (over the golden run's cycle count) granted to
@@ -43,6 +49,12 @@ const HANG_BUDGET_FACTOR: u64 = 4;
 /// Flat slack on top of the multiplicative hang budget, covering tiny
 /// golden runs where a fixed recovery cost dominates.
 const HANG_BUDGET_SLACK: u64 = 10_000;
+/// Golden-run checkpoints a campaign keeps: the warm-up boundary and the
+/// commits of every further quarter of the measured instructions.
+pub const CHECKPOINTS: u64 = 4;
+
+/// The core an injection runs on.
+type HarnessCore = Core<TraceWindow<SharedTraceIter>, NullSink>;
 
 /// One configuration bound to its golden (fault-free) run, ready to
 /// execute and classify injected runs. Immutable once prepared, so one
@@ -136,29 +148,75 @@ impl InjectionHarness {
         fault: &PlannedFault,
         deadline: Option<Instant>,
     ) -> (Outcome, Option<bool>) {
-        let budget = self
-            .end_cycle
-            .saturating_mul(HANG_BUDGET_FACTOR)
-            .saturating_add(HANG_BUDGET_SLACK);
+        let budget = self.hang_budget();
         let mut core = fresh_core(&self.cfg, &self.artifacts);
         core.arm_fault(*fault);
         if self.cfg.warmup > 0 {
-            match core.run_budgeted(self.cfg.warmup, budget, deadline) {
-                RunVerdict::Completed => {}
-                _ => return (Outcome::DueHang, core.fault_report().predicted_dead),
+            let verdict = core.run_budgeted(self.cfg.warmup, budget, deadline);
+            if verdict != RunVerdict::Completed {
+                return self.classify(&core, verdict);
             }
             core.reset_measurement();
         }
         let remaining = budget.saturating_sub(core.now()).max(1);
-        let outcome = match core.run_budgeted(self.cfg.instructions, remaining, deadline) {
-            RunVerdict::Completed => match core.fault_report().landing {
+        let verdict = core.run_budgeted(self.cfg.instructions, remaining, deadline);
+        self.classify(&core, verdict)
+    }
+
+    /// Replays the golden run and keeps [`CHECKPOINTS`] clones of its
+    /// core: at the warm-up boundary, where every sampled strike window
+    /// starts, and after each further quarter of the measured
+    /// instructions commits. Campaigns build them once per call and drop
+    /// them when it returns (one clone holds about 0.7 MB).
+    #[must_use]
+    pub fn checkpoints(&self) -> GoldenCheckpoints<'_> {
+        let mut core = fresh_core(&self.cfg, &self.artifacts);
+        // A fault that never strikes turns on the per-register writer
+        // tracking an RF strike's liveness prediction reads, exactly as
+        // an injected run has it from cycle 0.
+        core.arm_fault(PlannedFault {
+            cycle: u64::MAX,
+            target: FaultTarget::Rob,
+            entry: 0,
+            bit: 0,
+        });
+        if self.cfg.warmup > 0 {
+            core.run_until_committed(self.cfg.warmup);
+            core.reset_measurement();
+        }
+        let n = self.cfg.instructions;
+        let mut cores = Vec::with_capacity(CHECKPOINTS as usize);
+        for j in 1..CHECKPOINTS {
+            cores.push(core.clone());
+            core.run_until_committed(j * n / CHECKPOINTS);
+        }
+        cores.push(core);
+        GoldenCheckpoints {
+            harness: self,
+            cores,
+        }
+    }
+
+    /// Absolute cycle at which an injected run is declared a hang.
+    fn hang_budget(&self) -> u64 {
+        self.end_cycle
+            .saturating_mul(HANG_BUDGET_FACTOR)
+            .saturating_add(HANG_BUDGET_SLACK)
+    }
+
+    /// Classifies an injected run that stopped with `verdict`, and
+    /// reports the struck bit's liveness prediction.
+    fn classify(&self, core: &HarnessCore, verdict: RunVerdict) -> (Outcome, Option<bool>) {
+        let report = core.fault_report();
+        let outcome = match verdict {
+            RunVerdict::Completed => match report.landing {
                 None | Some(FaultLanding::Vacant) => Outcome::Vacant,
                 Some(_) if core.commit_digest() != self.golden_digest => Outcome::Sdc,
                 Some(_) => Outcome::Masked,
             },
             _ => Outcome::DueHang,
         };
-        (outcome, core.fault_report().predicted_dead)
+        (outcome, report.predicted_dead)
     }
 
     /// A sampler restricted to the two register files — the structures
@@ -206,12 +264,66 @@ impl InjectionHarness {
     }
 }
 
+/// Golden-run checkpoints of one [`InjectionHarness`]
+/// ([`InjectionHarness::checkpoints`]): the campaign entry points run
+/// every injection through [`GoldenCheckpoints::execute_stratified`].
+/// Shared read-only by a campaign's worker threads; each injection runs
+/// on its own clone.
+#[derive(Debug)]
+pub struct GoldenCheckpoints<'h> {
+    harness: &'h InjectionHarness,
+    /// In cycle order.
+    cores: Vec<HarnessCore>,
+}
+
+impl GoldenCheckpoints<'_> {
+    /// The absolute cycle (`Core::now`) of each checkpoint, in order.
+    pub fn cycles(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cores.iter().map(Core::now)
+    }
+
+    /// [`InjectionHarness::execute`] from the latest checkpoint before the
+    /// strike: the same outcome.
+    #[must_use]
+    pub fn execute(&self, fault: &PlannedFault, deadline: Option<Instant>) -> Outcome {
+        self.execute_stratified(fault, deadline).0
+    }
+
+    /// [`InjectionHarness::execute_stratified`] from the latest checkpoint
+    /// before the strike: the same outcome and prediction. The run stops
+    /// at the strike when it lands vacant, since a vacant strike changes no
+    /// state and the rest of the run is the golden run. A strike at or
+    /// before the warm-up boundary has no checkpoint and runs the
+    /// reference path.
+    #[must_use]
+    pub fn execute_stratified(
+        &self,
+        fault: &PlannedFault,
+        deadline: Option<Instant>,
+    ) -> (Outcome, Option<bool>) {
+        let h = self.harness;
+        let before = self.cores.partition_point(|c| c.now() < fault.cycle);
+        let Some(checkpoint) = before.checked_sub(1).map(|i| &self.cores[i]) else {
+            return h.execute_stratified(fault, deadline);
+        };
+        let n = h.cfg.instructions;
+        let mut core = checkpoint.clone();
+        core.arm_fault(*fault);
+        // Stops right after the strike's cycle (or at the golden run's
+        // end, for a strike after it).
+        let verdict = core.run_budgeted(n, fault.cycle - core.now(), deadline);
+        let verdict = match (verdict, core.fault_report().landing) {
+            (RunVerdict::Deadline, _) => verdict,
+            (_, None | Some(FaultLanding::Vacant)) => RunVerdict::Completed,
+            _ => core.run_budgeted(n, h.hang_budget().saturating_sub(core.now()), deadline),
+        };
+        h.classify(&core, verdict)
+    }
+}
+
 /// A fault-free core for `cfg`, identical to what the plain run path
 /// builds (the golden and injected runs must share every artifact).
-fn fresh_core(
-    cfg: &SimConfig,
-    artifacts: &RunArtifacts,
-) -> Core<TraceWindow<rar_workloads::SharedTraceIter>, NullSink> {
+fn fresh_core(cfg: &SimConfig, artifacts: &RunArtifacts) -> HarnessCore {
     let trace = TraceWindow::new(TracePrefix::resume(&artifacts.prefix));
     let mut core = Core::with_sink(
         cfg.core.clone(),
@@ -241,12 +353,13 @@ pub fn run_injection_campaign(
     registry: Option<&MetricsRegistry>,
 ) -> std::io::Result<CampaignResult> {
     let sampler = harness.sampler(seed);
+    let checkpoints = harness.checkpoints();
     run_campaign(
         spec,
         &sampler,
         |_k, fault| {
             let deadline = run_wall.map(|d| Instant::now() + d);
-            Ok(harness.execute(fault, deadline))
+            Ok(checkpoints.execute(fault, deadline))
         },
         registry,
     )
@@ -283,14 +396,14 @@ impl BitliveValidation {
 /// other campaign.
 ///
 /// Journaled resume replays outcomes but not predictions, so validation
-/// campaigns must run un-journaled (`spec.journal = None`); a journaled
-/// spec would under-count strata on resume. Injections the runner
-/// classifies without reaching the executor (a panic caught by
-/// `catch_unwind`) land in the campaign tally but not the strata.
+/// campaigns run un-journaled. Injections the runner classifies without
+/// reaching the executor (a panic caught by `catch_unwind`) land in the
+/// campaign tally but not the strata.
 ///
 /// # Errors
 ///
-/// Propagates journal I/O errors exactly like [`run_injection_campaign`].
+/// Returns [`std::io::ErrorKind::InvalidInput`] when `spec.journal` is
+/// set, since a resumed campaign would under-count the strata.
 pub fn run_bitlive_validation(
     harness: &InjectionHarness,
     spec: &CampaignSpec,
@@ -298,14 +411,22 @@ pub fn run_bitlive_validation(
     run_wall: Option<Duration>,
     registry: Option<&MetricsRegistry>,
 ) -> std::io::Result<BitliveValidation> {
+    if spec.journal.is_some() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "bit-liveness validation cannot be journaled: resume restores outcomes, \
+             not predictions",
+        ));
+    }
     let sampler = harness.rf_sampler(seed);
+    let checkpoints = harness.checkpoints();
     let strata = std::sync::Mutex::new(StratifiedTally::new());
     let result = run_campaign(
         spec,
         &sampler,
         |_k, fault| {
             let deadline = run_wall.map(|d| Instant::now() + d);
-            let (outcome, predicted_dead) = harness.execute_stratified(fault, deadline);
+            let (outcome, predicted_dead) = checkpoints.execute_stratified(fault, deadline);
             strata
                 .lock()
                 .expect("strata lock")
@@ -499,6 +620,22 @@ mod tests {
             "predicted-dead stratum not consistent with zero: {}",
             v.strata.to_json()
         );
+    }
+
+    #[test]
+    fn journaled_validation_is_rejected() {
+        // Resume restores outcomes but not predictions, so a journal would
+        // silently under-count the strata.
+        let h = InjectionHarness::prepare(&tiny_cfg(Technique::Ooo)).unwrap();
+        let journal = tmp("bitlive");
+        let spec = CampaignSpec {
+            samples: 4,
+            journal: Some(journal.clone()),
+            ..CampaignSpec::default()
+        };
+        let err = run_bitlive_validation(&h, &spec, 7, None, None).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!journal.exists(), "nothing may be written");
     }
 
     #[test]

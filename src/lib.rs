@@ -37,7 +37,7 @@
 //! values and `DESIGN.md` documents the calibration decisions and
 //! deliberate deviations. Beyond the paper, the workspace implements the
 //! related-work design points it compares against (dispatch throttling,
-//! runahead buffer, continuous runahead, vector runahead), Monte-Carlo
+//! runahead buffer, continuous runahead, vector runahead), statistical
 //! fault injection, phase-resolved AVF, and a first-order energy model.
 
 pub use rar_ace as ace;
