@@ -350,7 +350,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     }
 
     /// Installs a static dead-value refinement (from
-    /// [`rar_verify::analyze_stream`] over the correct-path uop trace).
+    /// [`rar_verify::analyze`] over the correct-path uop trace).
     /// Committed destination-register intervals whose sequence number the
     /// refinement proves dynamically dead are additionally reported to
     /// [`AceCounter::record_dead`], so the run's reliability report carries

@@ -2,22 +2,22 @@
 //!
 //! Four cooperating layers, none of which perturbs the simulation:
 //!
-//! - [`blocks`]/[`liveness`] — a backward liveness/dead-value dataflow
-//!   analysis over [`rar_isa`] uop streams that classifies first-level
-//!   (FDD) and transitively (TDD) dynamically-dead destination values and
-//!   dead destination bits. Mukherjee-style ACE accounting counts every
-//!   committed instruction as ACE; BEC-style static analysis shows that a
-//!   committed value nobody ever reads is architecturally un-ACE. The
-//!   resulting per-uop [`AceClass`] lets the ACE counter report a
-//!   *refined* AVF next to the paper's unrefined one.
-//! - [`transfer`]/[`bitlive`] — per-`UopKind` bit-transfer functions and
-//!   a backward bit-mask dataflow refining *which bits* of a live value
-//!   are ACE (branch conditions collapse to one bit, addresses to their
-//!   low 48, carry chains to their live prefix), yielding the
-//!   bit-refined AVF. The same transfer table drives the core's forward
-//!   per-bit poison propagation, so every static dead-bit claim is
-//!   falsifiable by fault injection; a bit-exact reference interpreter
-//!   ([`interp`]) backs the property tests.
+//! - [`liveness`] — a single backward pass over [`rar_isa`] uop streams
+//!   that classifies first-level (FDD) and transitively (TDD)
+//!   dynamically-dead destination values and dead destination bits.
+//!   Mukherjee-style ACE accounting counts every committed instruction as
+//!   ACE; BEC-style static analysis shows that a committed value nobody
+//!   ever reads is architecturally un-ACE. The resulting per-uop
+//!   [`AceClass`] lets the ACE counter report a *refined* AVF next to the
+//!   paper's unrefined one.
+//! - [`transfer`] — per-`UopKind` bit-transfer functions refining *which
+//!   bits* of a live value are ACE (branch conditions collapse to one bit,
+//!   addresses to their low 48, carry chains to their live prefix), which
+//!   the same pass applies to yield the bit-refined AVF. The same
+//!   transfer table drives the core's forward per-bit poison propagation,
+//!   so every static dead-bit claim is falsifiable by fault injection; a
+//!   bit-exact reference interpreter ([`interp`]) backs the property
+//!   tests.
 //! - [`sanitize`] — cross-structure conservation invariants (uop, register
 //!   and MSHR bookkeeping, ROB ordering, ACE stall-window balance) checked
 //!   every cycle when the core is built with `--features sanitize`, with
@@ -49,21 +49,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bitlive;
-pub mod blocks;
 pub mod config;
 pub mod interp;
 pub mod liveness;
 pub mod sanitize;
 pub mod transfer;
 
-pub use bitlive::{analyze_bits, BitLiveness, BitRefinement, MaskVec};
-pub use blocks::{split_blocks, BasicBlock, BlockLiveness, LiveSet};
 pub use config::ConfigError;
 pub use interp::{interpret, Observation, ValueFlip};
-pub use liveness::{
-    analyze, analyze_stream, AceClass, AceRefinement, RefinementSummary, ADDR_BITS,
-};
+pub use liveness::{analyze, AceClass, AceRefinement, RefinementSummary, ADDR_BITS};
 pub use sanitize::{Invariant, Sanitizer, Violation};
 pub use transfer::{
     all_if_any, consumed_src_mask, dest_poison_mask, smear_down, smear_up, src_live_mask,

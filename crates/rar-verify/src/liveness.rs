@@ -16,6 +16,13 @@
 //! only its [`ADDR_BITS`] low-order bits; the top `64 - ADDR_BITS` bits of
 //! the register can flip without changing the access.
 //!
+//! For the bits of a value that is needed, the per-kind transfer
+//! functions of [`crate::transfer`] say which ones: a branch demands one
+//! condition bit of its sources, a load demands only address bits, and
+//! carry-monotone ALU kinds demand bits only up to the most significant
+//! live destination bit. The result is a per-uop dead-bit mask that
+//! generalizes the all-or-nothing `dead_dest_bits` of the classes.
+//!
 //! The analysis is static over the (deterministic, trace-driven) uop
 //! stream and exact for committed uops: the committed dynamic stream *is*
 //! the static stream, so "next write of r" in the trace is the dynamic
@@ -24,13 +31,16 @@
 //!
 //! Roots of liveness (never dead): stores (both address and data feed
 //! memory), branches (control flow), and every register at the analysis
-//! horizon (conservative live-out). Deadness converges by an outer
-//! fixpoint cooperating with the block-level dataflow in
-//! [`crate::blocks`]: each round re-solves block liveness with the reads
-//! of already-dead uops removed, so dead chains grow monotonically until
-//! stable.
+//! horizon (conservative live-out). Basic-block boundaries are
+//! conservative too: a register live past a branch is fully live, even
+//! if its only later reader uses it as a load address.
+//!
+//! The trace is a straight line and every reader of a value comes after
+//! it, so one backward pass has already given each reader its final
+//! verdict when it reaches the definition: the one pass computes the
+//! fixpoint of the dataflow equations.
 
-use crate::blocks::{BlockLiveness, LiveSet};
+use crate::transfer::{src_live_mask, ADDR_MASK};
 use rar_isa::{RegClass, Uop, UopKind};
 
 /// Architecturally meaningful virtual-address bits. A value used only for
@@ -100,13 +110,11 @@ pub struct RefinementSummary {
 #[derive(Debug, Clone, Default)]
 pub struct AceRefinement {
     classes: std::sync::Arc<[AceClass]>,
-    /// Per-uop dead destination-bit masks from the bit-level analysis
-    /// ([`crate::bitlive`]), already unioned with the word-level class
-    /// mask so `bit_dead_dest_bits >= dead_dest_bits` holds by
-    /// construction (the AVF ordering invariant).
+    /// Per-uop dead destination-bit masks from the per-kind transfer
+    /// functions, already unioned with the word-level class mask so
+    /// `bit_dead_dest_bits >= dead_dest_bits` holds by construction (the
+    /// AVF ordering invariant).
     masks: std::sync::Arc<[u64]>,
-    /// Dead-set size after each outer fixpoint round (non-decreasing).
-    rounds: std::sync::Arc<[u64]>,
 }
 
 impl AceRefinement {
@@ -165,13 +173,6 @@ impl AceRefinement {
         self.classes.len() as u64
     }
 
-    /// Dead-set size after each outer fixpoint round. Monotonically
-    /// non-decreasing; the final two entries are equal (convergence).
-    #[must_use]
-    pub fn rounds(&self) -> &[u64] {
-        &self.rounds
-    }
-
     /// Classification counts over the analyzed horizon.
     #[must_use]
     pub fn summary(&self) -> RefinementSummary {
@@ -197,127 +198,84 @@ fn has_side_effect(uop: &Uop) -> bool {
     matches!(uop.kind(), UopKind::Store | UopKind::Branch)
 }
 
-/// Forward pass: for each definition, how many uops read that value
-/// before it is overwritten (crossing block boundaries). Distinguishes
-/// FDD (no readers at all) from TDD (readers exist but are all dead).
-fn reader_counts(uops: &[Uop]) -> Vec<u32> {
-    let mut last_def: [Option<usize>; 64] = [None; 64];
-    let mut readers = vec![0u32; uops.len()];
-    for (i, uop) in uops.iter().enumerate() {
-        for src in uop.srcs() {
-            if let Some(def) = last_def[src.flat_index()] {
-                readers[def] += 1;
-            }
-        }
-        if let Some(dest) = uop.dest() {
-            last_def[dest.flat_index()] = Some(i);
-        }
-    }
-    readers
-}
-
 /// Analyzes a finite uop stream and classifies every destination value.
 ///
-/// The horizon is conservative: every register is treated as live-out at
-/// the end of the slice, so values still in flight at the boundary are
-/// never classified dead.
+/// One backward pass from the horizon. The horizon is conservative: every
+/// register is treated as live-out at the end of the slice, so values
+/// still in flight at the boundary are never classified dead.
 #[must_use]
 pub fn analyze(uops: &[Uop]) -> AceRefinement {
-    let readers = reader_counts(uops);
     let mut classes = vec![AceClass::Live; uops.len()];
-    let mut dead = vec![false; uops.len()];
-    let mut rounds = Vec::new();
-
-    // Outer fixpoint: block liveness and per-uop classification cooperate.
-    // Reads performed by uops already classified dead are excluded from
-    // the next round's block summaries, letting deadness propagate
-    // backward through whole chains (TDD). The dead set only grows, so
-    // this terminates in at most `uops.len()` rounds (in practice 2-3).
-    loop {
-        let solved = BlockLiveness::solve(uops, &dead, LiveSet::full());
-        let mut grew = false;
-        for (b, block) in solved.blocks.iter().enumerate() {
-            // In-block backward scan seeded with the block's live-out.
-            // `live_full` holds registers whose full value is needed;
-            // `live_addr` holds registers needed only for load-address
-            // formation. Block boundaries are conservative: everything
-            // live-out is treated as fully live.
-            let mut live_full = solved.live_out[b];
-            let mut live_addr = LiveSet::empty();
-            for i in (block.start..block.end).rev() {
-                let uop = &uops[i];
-                if let Some(dest) = uop.dest() {
-                    let class = if live_full.contains(dest) {
-                        AceClass::Live
-                    } else if live_addr.contains(dest) {
-                        AceClass::AddrOnly
-                    } else if readers[i] == 0 {
-                        AceClass::Fdd
-                    } else {
-                        AceClass::Tdd
-                    };
-                    classes[i] = class;
-                    if class.is_dead() && !dead[i] {
-                        dead[i] = true;
-                        grew = true;
-                    }
-                    live_full.remove(dest);
-                    live_addr.remove(dest);
-                }
-                // A dead uop's reads keep nothing live — unless the uop
-                // has an architectural side effect, which cannot be dead.
-                if dead[i] && !has_side_effect(uop) {
-                    continue;
-                }
-                for src in uop.srcs() {
-                    if uop.kind() == UopKind::Load && src.class() == RegClass::Int {
-                        // Load sources feed address formation only.
-                        if !live_full.contains(src) {
-                            live_addr.insert(src);
-                        }
-                    } else {
-                        live_addr.remove(src);
-                        live_full.insert(src);
-                    }
+    let mut masks = vec![0u64; uops.len()];
+    // Register sets, one bit per `ArchReg::flat_index`. `full`: a live
+    // reader needs the whole value. `addr`: a live reader in the current
+    // basic block needs it only as a load address. `read`: some reader,
+    // dead or not, comes before the next definition (FDD versus TDD).
+    let mut full = u64::MAX;
+    let mut addr = 0u64;
+    let mut read = 0u64;
+    // Live-bit mask per register.
+    let mut bits = [u64::MAX; 64];
+    let slots = uops.iter().zip(classes.iter_mut()).zip(masks.iter_mut());
+    for ((uop, class_out), mask_out) in slots.rev() {
+        if uop.is_branch() {
+            // A branch closes its block, and whatever is live out of a
+            // block is fully live.
+            full |= addr;
+            addr = 0;
+        }
+        let mut dest_live = 0;
+        let mut dead = false;
+        if let Some(dest) = uop.dest() {
+            let r = 1u64 << dest.flat_index();
+            let class = if full & r != 0 {
+                AceClass::Live
+            } else if addr & r != 0 {
+                AceClass::AddrOnly
+            } else if read & r == 0 {
+                AceClass::Fdd
+            } else {
+                AceClass::Tdd
+            };
+            full &= !r;
+            addr &= !r;
+            read &= !r;
+            dest_live = std::mem::take(&mut bits[dest.flat_index()]);
+            // Unioned with the class mask, so the bit refinement can only
+            // remove *more* ACE mass than the word refinement (the AVF
+            // ordering invariant, structurally).
+            *mask_out = !dest_live
+                | match class {
+                    AceClass::Live => 0,
+                    AceClass::AddrOnly => !ADDR_MASK,
+                    AceClass::Fdd | AceClass::Tdd => u64::MAX,
+                };
+            *class_out = class;
+            dead = class.is_dead();
+        }
+        // A dead uop's reads keep nothing live — unless the uop has an
+        // architectural side effect, which cannot be dead.
+        let keeps_live = !dead || has_side_effect(uop);
+        let demanded = src_live_mask(uop.kind(), dest_live);
+        for src in uop.srcs() {
+            let r = 1u64 << src.flat_index();
+            read |= r;
+            bits[src.flat_index()] |= demanded;
+            if keeps_live {
+                if uop.kind() == UopKind::Load && src.class() == RegClass::Int {
+                    // Load sources feed address formation only.
+                    addr |= r & !full;
+                } else {
+                    addr &= !r;
+                    full |= r;
                 }
             }
-        }
-        rounds.push(dead.iter().filter(|&&d| d).count() as u64);
-        if !grew {
-            break;
         }
     }
-
-    // Bit-level pass: per-uop dead destination-bit masks from the
-    // per-kind transfer functions, unioned with the word-level class
-    // mask so the bit refinement can only remove *more* ACE mass than
-    // the word refinement (the AVF ordering invariant, structurally).
-    let bit = crate::bitlive::analyze_bits(uops);
-    let masks: Vec<u64> = bit
-        .dead_masks
-        .iter()
-        .zip(classes.iter())
-        .map(|(&m, &class)| {
-            m | match class {
-                AceClass::Live => 0,
-                AceClass::AddrOnly => !((1u64 << ADDR_BITS) - 1),
-                AceClass::Fdd | AceClass::Tdd => u64::MAX,
-            }
-        })
-        .collect();
-
     AceRefinement {
         classes: classes.into(),
         masks: masks.into(),
-        rounds: rounds.into(),
     }
-}
-
-/// Analyzes the first `horizon` uops of a stream (e.g. a workload trace).
-#[must_use]
-pub fn analyze_stream<I: Iterator<Item = Uop>>(stream: I, horizon: usize) -> AceRefinement {
-    let uops: Vec<Uop> = stream.take(horizon).collect();
-    analyze(&uops)
 }
 
 #[cfg(test)]
@@ -342,6 +300,20 @@ mod tests {
                 class: BranchClass::Conditional,
             },
         )
+    }
+
+    fn branch_on(pc: u64, src: u8) -> Uop {
+        branch(pc).with_src(ArchReg::int(src))
+    }
+
+    fn load(pc: u64, dest: u8, addr_src: u8) -> Uop {
+        Uop::load(pc, 0x2000, 8)
+            .with_src(ArchReg::int(addr_src))
+            .with_dest(ArchReg::int(dest))
+    }
+
+    fn store(pc: u64, src: u8) -> Uop {
+        Uop::store(pc, 0x3000, 8).with_src(ArchReg::int(src))
     }
 
     #[test]
@@ -446,16 +418,103 @@ mod tests {
     }
 
     #[test]
-    fn fixpoint_rounds_are_monotone() {
-        let uops: Vec<Uop> = (0..64u64)
-            .map(|i| alu_rr(i * 4, (i % 7) as u8, ((i + 3) % 7) as u8))
-            .collect();
+    fn dead_reader_across_a_branch_is_tdd() {
+        // u2 reads r1 in the next block but is itself dead (r2 is
+        // overwritten unread), so u0's value is transitively dead even
+        // though its only reader lies past a branch.
+        let uops = vec![
+            alu(0, 1),
+            branch(4),
+            alu_rr(8, 2, 1),
+            alu(12, 1),
+            alu(16, 2),
+        ];
         let r = analyze(&uops);
-        assert!(
-            r.rounds().windows(2).all(|w| w[0] <= w[1]),
-            "{:?}",
-            r.rounds()
-        );
+        assert_eq!(r.class(2), AceClass::Fdd);
+        assert_eq!(r.class(0), AceClass::Tdd, "read only by a dead uop");
+        assert_eq!(r.dead_dest_mask(0), u64::MAX);
+    }
+
+    #[test]
+    fn load_address_after_a_branch_is_live() {
+        // The same address-only use as `address_only_value_has_dead_top_bits`,
+        // but in the next block: whatever is live out of a block is fully
+        // live, so the word level keeps every bit.
+        let uops = vec![
+            alu(0, 1),
+            branch(4),
+            load(8, 2, 1),
+            store(12, 2),
+            alu(16, 1),
+        ];
+        let r = analyze(&uops);
+        assert_eq!(r.class(0), AceClass::Live);
+        assert_eq!(r.dead_dest_bits(0, 64), 0);
+        // The bit level sees through the block boundary: the load still
+        // demands only the address bits.
+        assert_eq!(r.dead_dest_mask(0), !ADDR_MASK);
+    }
+
+    #[test]
+    fn transfer_functions_shape_the_dead_bit_masks() {
+        // (case, stream, expected dead-bit mask per sequence number)
+        let cases = [
+            (
+                "a branch condition keeps one live bit",
+                vec![alu(0, 1), branch_on(4, 1), alu(8, 1)],
+                vec![(0, !1)],
+            ),
+            (
+                "a load address keeps the low bits only; loaded data feeds a store",
+                vec![alu(0, 1), load(4, 2, 1), store(8, 2), alu(12, 1)],
+                vec![(0, !ADDR_MASK), (1, 0)],
+            ),
+            (
+                "a carry-monotone chain narrows to the live prefix",
+                vec![
+                    alu(0, 1),
+                    alu_rr(4, 2, 1),
+                    branch_on(8, 2),
+                    alu(12, 1),
+                    alu(16, 2),
+                ],
+                vec![(1, !1), (0, !1)],
+            ),
+            (
+                "store sources are fully live",
+                vec![alu(0, 1), store(4, 1), alu(8, 1)],
+                vec![(0, 0)],
+            ),
+            (
+                "an unread overwritten value is fully dead",
+                vec![alu(0, 1), alu(4, 1), store(8, 1)],
+                vec![(0, u64::MAX), (1, 0)],
+            ),
+            (
+                "every register is fully live at the horizon",
+                vec![alu(0, 1)],
+                vec![(0, 0)],
+            ),
+            (
+                "a divide demands every source bit",
+                vec![
+                    alu(0, 1),
+                    Uop::alu(4, UopKind::IntDiv)
+                        .with_src(ArchReg::int(1))
+                        .with_dest(ArchReg::int(2)),
+                    branch_on(8, 2),
+                    alu(12, 1),
+                    alu(16, 2),
+                ],
+                vec![(1, !1), (0, 0)],
+            ),
+        ];
+        for (case, uops, expected) in cases {
+            let r = analyze(&uops);
+            for (seq, mask) in expected {
+                assert_eq!(r.dead_dest_mask(seq), mask, "{case}: seq {seq}");
+            }
+        }
     }
 
     #[test]

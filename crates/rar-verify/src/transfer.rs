@@ -1,13 +1,13 @@
 //! Per-kind bit-transfer functions: the modeled ISA's bit-level dataflow
 //! contract.
 //!
-//! The word-level analysis in [`crate::liveness`] decides *whether* a
+//! The word-level classes of [`crate::liveness`] decide *whether* a
 //! destination value is live; this module decides *which bits* of each
 //! source a uop can propagate into which bits of its destination. Both
-//! the backward bit-liveness analysis ([`crate::bitlive`]) and the
-//! forward per-bit poison propagation in the fault-injecting core apply
-//! the same table, so every static "this bit is dead" claim is checked
-//! by the dynamic model under single-bit strikes.
+//! the backward dead-bit masks of [`crate::analyze`] and the forward
+//! per-bit poison propagation in the fault-injecting core apply the same
+//! table, so every static "this bit is dead" claim is checked by the
+//! dynamic model under single-bit strikes.
 //!
 //! ## The modeled bit-semantics contract
 //!

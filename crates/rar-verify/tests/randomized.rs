@@ -1,10 +1,13 @@
 //! Randomized property checks that run offline (no external crates): a
 //! deterministic xorshift generator produces uop streams and leak
-//! scenarios, and each property is checked over many seeds.
+//! scenarios, and each property is checked over many seeds. The
+//! dead-value analysis is also checked against a definitional oracle on
+//! real workload prefixes.
 
 use rar_ace::{AceCounter, Structure};
-use rar_isa::{ArchReg, BranchClass, BranchInfo, Uop, UopKind};
-use rar_verify::{analyze, interpret, Sanitizer, ValueFlip};
+use rar_isa::{ArchReg, BranchClass, BranchInfo, RegClass, Uop, UopKind};
+use rar_verify::{analyze, interpret, src_live_mask, AceClass, Sanitizer, ValueFlip, ADDR_MASK};
+use rar_workloads::{all_benchmarks, extra_benchmarks, workload};
 
 /// xorshift64*: deterministic, seedable, good enough for test-case
 /// generation.
@@ -83,12 +86,26 @@ fn rich_random_stream(seed: u64, len: usize) -> Vec<Uop> {
             8 => Uop::alu(pc, UopKind::FpDiv)
                 .with_dest(ArchReg::fp(d))
                 .with_src(ArchReg::fp(s)),
-            9 | 10 => Uop::load(pc, 0x1000 + rng.below(64) * 64, 8)
+            9 => Uop::load(pc, 0x1000 + rng.below(64) * 64, 8)
                 .with_src(ArchReg::int(s))
                 .with_dest(ArchReg::int(d)),
-            11 => Uop::store(pc, 0x2000 + rng.below(64) * 64, 8)
+            10 => Uop::load(pc, 0x1000 + rng.below(64) * 64, 8)
                 .with_src(ArchReg::int(s))
-                .with_src(ArchReg::int(1 + rng.below(6) as u8)),
+                .with_dest(ArchReg::fp(d)),
+            11 => {
+                let addr = 0x2000 + rng.below(64) * 64;
+                // A store has no destination, so `d`'s parity picks the
+                // class of its data register instead.
+                let data = 1 + rng.below(6) as u8;
+                let data = if d.is_multiple_of(2) {
+                    ArchReg::fp(data)
+                } else {
+                    ArchReg::int(data)
+                };
+                Uop::store(pc, addr, 8)
+                    .with_src(ArchReg::int(s))
+                    .with_src(data)
+            }
             12 => Uop::nop(pc),
             _ => Uop::branch(
                 pc,
@@ -103,6 +120,130 @@ fn rich_random_stream(seed: u64, len: usize) -> Vec<Uop> {
         uops.push(uop);
     }
     uops
+}
+
+/// The verdict on every uop's destination value, written from the
+/// definitions rather than from live sets: for each definition, scan
+/// forward through its readers, up to and including the next definition
+/// of the same register. Readers come later in the stream, so visiting
+/// the definitions from last to first finds each reader's own verdict
+/// already made. Returns each uop's class and the live bits of its
+/// destination value (0 for a uop without one).
+fn oracle(uops: &[Uop]) -> Vec<(AceClass, u64)> {
+    let mut verdicts = vec![(AceClass::Live, 0u64); uops.len()];
+    for (i, def) in uops.iter().enumerate().rev() {
+        let Some(reg) = def.dest() else { continue };
+        let mut redefined = false;
+        let mut branch_between = false;
+        let mut readers = 0u32;
+        let mut live_readers = 0u32;
+        let mut full_use = false;
+        let mut live_bits = 0u64;
+        for (j, uop) in uops.iter().enumerate().skip(i + 1) {
+            if uop.srcs().any(|src| src == reg) {
+                let (class, reader_live_bits) = verdicts[j];
+                readers += 1;
+                live_bits |= src_live_mask(uop.kind(), reader_live_bits);
+                if !class.is_dead() {
+                    live_readers += 1;
+                    // A live load reads an integer register as its
+                    // address; past a branch even that counts as a full
+                    // use, because block boundaries are conservative.
+                    full_use |= !uop.is_load() || reg.class() != RegClass::Int || branch_between;
+                }
+            }
+            if uop.dest() == Some(reg) {
+                redefined = true;
+                break;
+            }
+            branch_between |= uop.is_branch();
+        }
+        let class = if !redefined || full_use {
+            AceClass::Live
+        } else if live_readers > 0 {
+            AceClass::AddrOnly
+        } else if readers == 0 {
+            AceClass::Fdd
+        } else {
+            AceClass::Tdd
+        };
+        // Every bit of a value that reaches the horizon is live.
+        verdicts[i] = (class, if redefined { live_bits } else { u64::MAX });
+    }
+    verdicts
+}
+
+/// Checks `analyze` against [`oracle`] on every uop of `uops` and tallies
+/// the classes checked, indexed Live, AddrOnly, FDD, TDD.
+fn check_against_oracle(uops: &[Uop], what: &str, tally: &mut [u64; 4]) {
+    let r = analyze(uops);
+    for (seq, (uop, &(class, live_bits))) in uops.iter().zip(oracle(uops).iter()).enumerate() {
+        let class_mask = match class {
+            AceClass::Live => 0,
+            AceClass::AddrOnly => !ADDR_MASK,
+            AceClass::Fdd | AceClass::Tdd => u64::MAX,
+        };
+        let mask = if uop.dest().is_some() {
+            !live_bits | class_mask
+        } else {
+            0
+        };
+        let seq = seq as u64;
+        assert_eq!(r.class(seq), class, "{what}: class of seq {seq} ({uop})");
+        assert_eq!(
+            r.dead_dest_mask(seq),
+            mask,
+            "{what}: dead-bit mask of seq {seq} ({uop})"
+        );
+        tally[class as usize] += 1;
+    }
+}
+
+#[test]
+fn analyze_matches_the_definitional_oracle_on_random_streams() {
+    let mut tally = [0u64; 4];
+    for len in 1..=200usize {
+        for seed in 1..=5u64 {
+            let seed = seed * 1_000 + len as u64;
+            check_against_oracle(
+                &random_stream(seed, len),
+                &format!("plain {seed}/{len}"),
+                &mut tally,
+            );
+            check_against_oracle(
+                &rich_random_stream(seed, len),
+                &format!("rich {seed}/{len}"),
+                &mut tally,
+            );
+        }
+    }
+    let [_, addr_only, fdd, tdd] = tally;
+    assert!(
+        addr_only >= 2_000 && fdd >= 25_000 && tdd >= 8_000,
+        "too few dead verdicts checked: {tally:?}"
+    );
+}
+
+#[test]
+fn analyze_matches_the_definitional_oracle_on_workload_prefixes() {
+    // Real prefixes are mostly Live and FDD, which is why the random
+    // streams above carry the AddrOnly and TDD coverage.
+    let mut tally = [0u64; 4];
+    for name in all_benchmarks()
+        .into_iter()
+        .chain(extra_benchmarks().iter().copied())
+    {
+        let spec = workload(name).expect("known workload");
+        for seed in 1..=2u64 {
+            let uops: Vec<Uop> = spec.trace(seed).take(2_000).collect();
+            check_against_oracle(&uops, &format!("{name} seed {seed}"), &mut tally);
+        }
+    }
+    let [live, _, fdd, _] = tally;
+    assert!(
+        live >= 50_000 && fdd >= 5_000,
+        "too few verdicts checked: {tally:?}"
+    );
 }
 
 #[test]
@@ -185,27 +326,6 @@ fn bit_refined_dead_bits_dominate_word_level_on_random_streams() {
                     "seed {seed}, seq {seq}: word {word} bit {bit} width {width}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn fixpoint_rounds_are_monotone_and_converge_on_random_streams() {
-    for seed in 1..=40u64 {
-        let uops = random_stream(seed, 200);
-        let r = analyze(&uops);
-        let rounds = r.rounds();
-        assert!(!rounds.is_empty(), "seed {seed}: no rounds recorded");
-        assert!(
-            rounds.windows(2).all(|w| w[0] <= w[1]),
-            "seed {seed}: dead set shrank: {rounds:?}"
-        );
-        if rounds.len() >= 2 {
-            assert_eq!(
-                rounds[rounds.len() - 1],
-                rounds[rounds.len() - 2],
-                "seed {seed}: final round still grew"
-            );
         }
     }
 }
