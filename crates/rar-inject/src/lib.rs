@@ -36,5 +36,5 @@ pub use campaign::{run_campaign, CampaignResult, CampaignSpec};
 pub use journal::{
     load_journal, validate_journal_path, JournalPathError, JournalRecord, JournalWriter,
 };
-pub use outcome::{Outcome, Tally, TargetTally};
+pub use outcome::{tally_document, Outcome, Tally, TargetTally};
 pub use validate::{StratifiedTally, Stratum};

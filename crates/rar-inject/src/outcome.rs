@@ -10,6 +10,7 @@
 //! bit capacity, not by its occupied fraction.
 
 use rar_core::FaultTarget;
+use rar_trace::jsonv::escape;
 
 /// Architectural outcome of one injection, classified against the golden
 /// run.
@@ -218,6 +219,21 @@ impl Tally {
         out.push('}');
         out
     }
+}
+
+/// Renders the `rar-inject-tally-v1` document: the baseline (`ooo`) and
+/// RAR tallies of one paired campaign on `workload` at `inject_seed`.
+/// The CLI's `inject --tally-out` and the daemon's inject jobs both write
+/// it, byte for byte (CI diffs each against `results/inject_golden.json`).
+#[must_use]
+pub fn tally_document(workload: &str, inject_seed: u64, ooo: &Tally, rar: &Tally) -> String {
+    format!(
+        "{{\"schema\":\"rar-inject-tally-v1\",\"workload\":\"{}\",\
+         \"inject_seed\":{inject_seed},\"ooo\":{},\"rar\":{}}}\n",
+        escape(workload),
+        ooo.to_json(),
+        rar.to_json()
+    )
 }
 
 #[cfg(test)]

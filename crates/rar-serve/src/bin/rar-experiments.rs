@@ -4,14 +4,12 @@
 //! rar-experiments <fig1|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|table4|mpki|protection|seeds|energy|extensions|structures|refinement|all>
 //!                 [--instructions N] [--warmup N] [--seed N]
 //!                 [--suite memory|compute|all] [--csv DIR] [--seeds N]
-//!                 [--cache DIR] [--no-cache] [--bench-out PATH]
-//!                 [--manifest-out PATH] [--profile] [--stalls]
+//!                 [--cache DIR] [--no-cache] [--manifest-out PATH] [--stalls]
 //! rar-experiments trace --workload W --technique T
 //!                 [--instructions N] [--warmup N] [--seed N]
 //!                 [--out DIR] [--capacity N] [--sample N]
 //! rar-experiments report [--dir DIR] [--out PATH] [--check]
-//!                 [--bench PATH] [--baseline PATH]
-//!                 [--min-hit-rate F] [--max-slowdown F]
+//!                 [--manifest PATH] [--min-hit-rate F]
 //! rar-experiments inject [--workload W] [--samples N] [--inject-seed N]
 //!                 [--instructions N] [--warmup N] [--seed N]
 //!                 [--threads N] [--journal PATH] [--tally-out PATH]
@@ -29,15 +27,15 @@
 //! are memoized on disk under `--cache` (default `results/cache`; disable
 //! with `--no-cache`), so rerunning a figure — or another figure sharing
 //! cells with it — replays cached results bit-identically instead of
-//! resimulating. Each invocation also writes a throughput/cache report to
-//! `--bench-out` (default `BENCH_sweep.json`) and a run manifest to
-//! `--manifest-out` (default `manifest.json`); `--profile` additionally
-//! attributes host wall-clock time per phase (trace generation, core
-//! simulation, liveness, cache probe/store, serialization) into the
-//! manifest. Profiling never changes results — only the manifest grows.
-//! `--stalls` turns on the guest-side cycle-loop stall profiler: every
-//! simulated cycle is attributed to one stall-taxonomy bucket, the bench
-//! report gains the `stall_*` keys and the manifest the quiescent-cycle
+//! resimulating. Each invocation also writes its run manifest to
+//! `--manifest-out` (default `manifest.json`), the one record of the run:
+//! cell counts, cache hit rate, throughput, and the telemetry registry,
+//! including the host wall-clock time per phase (trace generation, core
+//! simulation, liveness, cache probe/store, serialization). Profiling
+//! never changes results. `--stalls` turns on the guest-side cycle-loop
+//! stall profiler: every simulated cycle is attributed to one
+//! stall-taxonomy bucket, and the manifest gains the per-bucket
+//! `rar_stall_*_cycles_total` counters, the total and the quiescent-cycle
 //! fraction. Results stay bit-identical, but stall-profiled sessions
 //! bypass the disk cache so cached artifacts remain byte-stable.
 //!
@@ -65,11 +63,11 @@
 //! The `trace` subcommand runs one traced simulation and writes a Chrome
 //! trace, a Konata log and CSV tables into `--out` (default
 //! `results/traces`). The `report` subcommand renders the self-contained
-//! HTML dashboard from the manifests and `BENCH_*.json` files under
-//! `--dir`, and with `--check` exits non-zero when a manifest fails
-//! schema validation, the gated bench misses the `--min-hit-rate` floor,
-//! or throughput regressed more than `--max-slowdown` versus
-//! `--baseline` — the CI perf gate.
+//! HTML dashboard from the `manifest*.json` files under `--dir` plus the
+//! gated manifest (`--manifest`, default `{dir}/manifest.json`), and with
+//! `--check` exits non-zero when it found no manifest, when any of them
+//! fails schema validation, or when the gated one misses the
+//! `--min-hit-rate` floor: the CI cache gate.
 //!
 //! The `serve` subcommand runs the long-lived campaign daemon (see the
 //! `rar-serve` crate): a persistent priority job queue, a shared worker
@@ -82,11 +80,11 @@
 //! `metrics`/`shutdown` address the daemon itself.
 
 use rar_serve::{CampaignServer, ServeClient, ServeOptions};
-use rar_sim::dashboard::{check_bench, render_dashboard, DEFAULT_MAX_SLOWDOWN};
+use rar_sim::dashboard::{check_manifests, render_dashboard};
 use rar_sim::experiment::{self, ExperimentOptions, Suite};
 use rar_sim::sweep::SweepSession;
 use rar_sim::{SimConfig, Simulation, Table, TraceSettings};
-use rar_telemetry::{Phase, Profiler};
+use rar_telemetry::WallProfiler;
 use rar_trace::TraceEvent;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -95,11 +93,11 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rar-experiments <fig1|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|table4|mpki|protection|seeds|energy|extensions|structures|refinement|all> \
          [--instructions N] [--warmup N] [--seed N] [--suite memory|compute|all] [--csv DIR] [--seeds N] \
-         [--cache DIR] [--no-cache] [--bench-out PATH] [--manifest-out PATH] [--profile] [--stalls]\n\
+         [--cache DIR] [--no-cache] [--manifest-out PATH] [--stalls]\n\
        rar-experiments trace --workload W --technique T [--instructions N] [--warmup N] [--seed N] \
          [--out DIR] [--capacity N] [--sample N]\n\
-       rar-experiments report [--dir DIR] [--out PATH] [--check] [--bench PATH] [--baseline PATH] \
-         [--min-hit-rate F] [--max-slowdown F]\n\
+       rar-experiments report [--dir DIR] [--out PATH] [--check] [--manifest PATH] \
+         [--min-hit-rate F]\n\
        rar-experiments inject [--workload W] [--samples N] [--inject-seed N] [--instructions N] \
          [--warmup N] [--seed N] [--threads N] [--journal PATH] [--tally-out PATH] [--max N] \
          [--flight-out PATH] [--validate-bitlive]\n\
@@ -114,48 +112,38 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// A report file as `(file name, contents)`.
-type NamedReport = (String, String);
-
-/// Reads every `manifest*.json` / `BENCH_*.json` under `dir`, sorted by
-/// name so the dashboard is deterministic.
-fn collect_reports(dir: &str) -> (Vec<NamedReport>, Vec<NamedReport>) {
+/// Reads every `manifest*.json` under `dir` as `(file name, contents)`,
+/// sorted by name so the dashboard is deterministic.
+fn collect_manifests(dir: &str) -> Vec<(String, String)> {
     let mut manifests = Vec::new();
-    let mut benches = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("[rar-sim] cannot read {dir}: {e}");
-            return (manifests, benches);
+            return manifests;
         }
     };
     for entry in entries.flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
-        let is_manifest = name.starts_with("manifest") && name.ends_with(".json");
-        let is_bench = name.starts_with("BENCH_") && name.ends_with(".json");
-        if !is_manifest && !is_bench {
+        if !(name.starts_with("manifest") && name.ends_with(".json")) {
             continue;
         }
         match std::fs::read_to_string(entry.path()) {
-            Ok(text) if is_manifest => manifests.push((name, text)),
-            Ok(text) => benches.push((name, text)),
+            Ok(text) => manifests.push((name, text)),
             Err(e) => eprintln!("[rar-sim] skipping unreadable {name}: {e}"),
         }
     }
     manifests.sort();
-    benches.sort();
-    (manifests, benches)
+    manifests
 }
 
-/// The `report` subcommand: dashboard rendering plus the CI perf gate.
+/// The `report` subcommand: dashboard rendering plus the CI gate.
 fn report_cmd(args: &[String]) -> ExitCode {
     let mut dir = ".".to_owned();
     let mut out = "dashboard.html".to_owned();
     let mut check = false;
-    let mut bench_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
+    let mut manifest_path: Option<String> = None;
     let mut min_hit_rate: Option<f64> = None;
-    let mut max_slowdown = DEFAULT_MAX_SLOWDOWN;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -171,14 +159,9 @@ fn report_cmd(args: &[String]) -> ExitCode {
         match flag {
             "--dir" => dir = value.clone(),
             "--out" => out = value.clone(),
-            "--bench" => bench_path = Some(value.clone()),
-            "--baseline" => baseline_path = Some(value.clone()),
+            "--manifest" => manifest_path = Some(value.clone()),
             "--min-hit-rate" => match value.parse() {
                 Ok(f) => min_hit_rate = Some(f),
-                Err(_) => return usage(),
-            },
-            "--max-slowdown" => match value.parse() {
-                Ok(f) => max_slowdown = f,
                 Err(_) => return usage(),
             },
             _ => return usage(),
@@ -186,46 +169,38 @@ fn report_cmd(args: &[String]) -> ExitCode {
         i += 2;
     }
 
-    let (manifests, benches) = collect_reports(&dir);
-    let html = render_dashboard(&manifests, &benches);
+    let mut manifests = collect_manifests(&dir);
+    // The gated manifest: --manifest, or the conventional manifest.json.
+    // One that is not among the directory's joins them under its path.
+    let named = manifest_path.is_some();
+    let gated_path = manifest_path.unwrap_or_else(|| format!("{dir}/manifest.json"));
+    let gated = std::fs::read_to_string(&gated_path).map(|text| {
+        manifests
+            .iter()
+            .position(|(_, t)| *t == text)
+            .unwrap_or_else(|| {
+                manifests.push((gated_path.clone(), text));
+                manifests.len() - 1
+            })
+    });
+    let html = render_dashboard(&manifests);
     if let Err(e) = std::fs::write(&out, html) {
         eprintln!("failed to write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    println!(
-        "wrote {out} ({} manifests, {} bench reports)",
-        manifests.len(),
-        benches.len()
-    );
+    println!("wrote {out} ({} manifests)", manifests.len());
     if !check {
         return ExitCode::SUCCESS;
     }
 
-    // The gated bench: --bench, or the conventional BENCH_sweep.json.
-    let default_bench = format!("{dir}/BENCH_sweep.json");
-    let gated = bench_path.unwrap_or(default_bench);
-    let bench_text = std::fs::read_to_string(&gated).ok();
-    if bench_text.is_none() && (min_hit_rate.is_some() || baseline_path.is_some()) {
-        eprintln!("[rar-sim] report check: cannot read gated bench {gated}");
-        return ExitCode::FAILURE;
+    // The gated manifest must be readable when named or floored.
+    if let Err(e) = &gated {
+        if named || min_hit_rate.is_some() {
+            eprintln!("[rar-sim] report check: cannot read gated manifest {gated_path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
-    let baseline_text = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(t) => Some(t),
-            Err(e) => {
-                eprintln!("[rar-sim] report check: cannot read baseline {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let problems = check_bench(
-        &manifests,
-        bench_text.as_deref(),
-        baseline_text.as_deref(),
-        min_hit_rate,
-        max_slowdown,
-    );
+    let problems = check_manifests(&manifests, gated.ok(), min_hit_rate);
     if problems.is_empty() {
         println!(
             "report check passed ({} manifests validated)",
@@ -538,11 +513,11 @@ fn inject_cmd(args: &[String]) -> ExitCode {
     println!("{}", table.render());
 
     if let Some(path) = tally_out {
-        let json = format!(
-            "{{\"schema\":\"rar-inject-tally-v1\",\"workload\":\"{workload}\",\
-             \"inject_seed\":{inject_seed},\"ooo\":{},\"rar\":{}}}\n",
-            campaigns[0].1.tally.to_json(),
-            campaigns[1].1.tally.to_json()
+        let json = rar_inject::tally_document(
+            &workload,
+            inject_seed,
+            &campaigns[0].1.tally,
+            &campaigns[1].1.tally,
         );
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("failed to write {path}: {e}");
@@ -705,16 +680,14 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the figure command(s) through `session` and writes the bench
-/// report and run manifest. Generic over the session's [`Profiler`]: the
-/// profiled and unprofiled paths share every line of figure logic.
-fn run_figures<P: Profiler>(
+/// Runs the figure command(s) through `session` and writes the run
+/// manifest.
+fn run_figures(
     cmd: &str,
     base: &ExperimentOptions,
-    session: Arc<SweepSession<P>>,
+    session: Arc<SweepSession<WallProfiler>>,
     csv_dir: Option<&String>,
     seeds: u64,
-    bench_out: &str,
     manifest_out: &str,
 ) -> ExitCode {
     let opts = ExperimentOptions {
@@ -737,57 +710,42 @@ fn run_figures<P: Profiler>(
         }
     };
 
-    let run = |cmd: &str, opts: &ExperimentOptions<P>| match cmd {
-        "fig1" => emit("fig1", &experiment::fig1(opts)),
-        "fig3" => emit("fig3", &experiment::fig3(opts)),
-        "fig4" => emit("fig4", &experiment::fig4(opts)),
-        "fig5" => emit("fig5", &experiment::fig5(opts)),
-        "fig7" | "fig8" => {
-            let [mttf, abc, ipc, mlp] = experiment::fig7_fig8(opts);
-            if cmd == "fig7" {
-                emit("fig7a_mttf", &mttf);
-                emit("fig7b_abc", &abc);
-            } else {
-                emit("fig8a_ipc", &ipc);
-                emit("fig8b_mlp", &mlp);
+    // Runs one figure command; `false` when `cmd` names none.
+    let run = |cmd: &str, opts: &ExperimentOptions<WallProfiler>| {
+        match cmd {
+            "fig1" => emit("fig1", &experiment::fig1(opts)),
+            "fig3" => emit("fig3", &experiment::fig3(opts)),
+            "fig4" => emit("fig4", &experiment::fig4(opts)),
+            "fig5" => emit("fig5", &experiment::fig5(opts)),
+            "fig7" | "fig8" => {
+                let [mttf, abc, ipc, mlp] = experiment::fig7_fig8(opts);
+                if cmd == "fig7" {
+                    emit("fig7a_mttf", &mttf);
+                    emit("fig7b_abc", &abc);
+                } else {
+                    emit("fig8a_ipc", &ipc);
+                    emit("fig8b_mlp", &mlp);
+                }
             }
+            "fig9" => emit("fig9", &experiment::fig9(opts)),
+            "fig10" => emit("fig10", &experiment::fig10(opts)),
+            "fig11" => emit("fig11", &experiment::fig11(opts)),
+            "table4" => emit("table4", &experiment::table4()),
+            "protection" => emit(
+                "protection",
+                &rar_sim::protection::protection_comparison(opts),
+            ),
+            "seeds" => emit("seeds", &experiment::seed_sweep(opts, seeds)),
+            "energy" => emit("energy", &experiment::energy(opts)),
+            "extensions" => emit("extensions", &experiment::extensions(opts)),
+            "structures" => emit("structures", &experiment::structures(opts)),
+            "refinement" => emit("refinement", &experiment::refinement(opts)),
+            "mpki" => emit("mpki", &experiment::mpki_check(opts)),
+            _ => return false,
         }
-        "fig9" => emit("fig9", &experiment::fig9(opts)),
-        "fig10" => emit("fig10", &experiment::fig10(opts)),
-        "fig11" => emit("fig11", &experiment::fig11(opts)),
-        "table4" => emit("table4", &experiment::table4()),
-        "protection" => emit(
-            "protection",
-            &rar_sim::protection::protection_comparison(opts),
-        ),
-        "seeds" => emit("seeds", &experiment::seed_sweep(opts, seeds)),
-        "energy" => emit("energy", &experiment::energy(opts)),
-        "extensions" => emit("extensions", &experiment::extensions(opts)),
-        "structures" => emit("structures", &experiment::structures(opts)),
-        "refinement" => emit("refinement", &experiment::refinement(opts)),
-        "mpki" => emit("mpki", &experiment::mpki_check(opts)),
-        _ => unreachable!("validated below"),
+        true
     };
 
-    let known = [
-        "fig1",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "table4",
-        "mpki",
-        "protection",
-        "seeds",
-        "energy",
-        "extensions",
-        "structures",
-        "refinement",
-    ];
     match cmd {
         "all" => {
             run("table4", &opts);
@@ -809,8 +767,11 @@ fn run_figures<P: Profiler>(
             run("fig11", &opts);
             run("protection", &opts);
         }
-        c if known.contains(&c) => run(c, &opts),
-        _ => return usage(),
+        c => {
+            if !run(c, &opts) {
+                return usage();
+            }
+        }
     }
 
     let stats = opts.session.stats();
@@ -825,11 +786,6 @@ fn run_figures<P: Profiler>(
         stats.runs_per_second(),
         stats.threads,
     );
-    if let Err(e) = std::fs::write(bench_out, opts.session.bench_json()) {
-        eprintln!("failed to write {bench_out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {bench_out}");
     let manifest = opts
         .session
         .manifest_json("rar-experiments", env!("CARGO_PKG_VERSION"));
@@ -838,37 +794,9 @@ fn run_figures<P: Profiler>(
         return ExitCode::FAILURE;
     }
     println!("wrote {manifest_out}");
-    if opts.session.profiling_enabled() {
-        // One phase-attribution line per phase, largest first (the
-        // manifest carries the same numbers for machines).
-        let registry = opts.session.registry();
-        let mut phases: Vec<(&str, u64)> = Phase::ALL
-            .iter()
-            .map(|p| {
-                let name = p.name();
-                let nanos = registry
-                    .counter(&format!("rar_profile_{name}_nanos_total"))
-                    .get();
-                (name, nanos)
-            })
-            .collect();
-        phases.sort_by_key(|&(_, nanos)| std::cmp::Reverse(nanos));
-        let total: u64 = phases.iter().map(|(_, n)| n).sum();
-        for (name, nanos) in phases {
-            let share = if total == 0 {
-                0.0
-            } else {
-                nanos as f64 / total as f64 * 100.0
-            };
-            eprintln!(
-                "[rar-sim] profile: {name:<12} {:.3}s ({share:.1}%)",
-                nanos as f64 / 1e9
-            );
-        }
-    }
     if let Some(p) = opts.session.stall_profile() {
         // One guest-side cycle-accounting line per stall bucket, largest
-        // first (the bench report carries the same numbers for machines).
+        // first (the manifest carries the same numbers for machines).
         let mut buckets: Vec<_> = rar_core::StallBucket::ALL
             .iter()
             .map(|&b| (b.name(), p.count(b)))
@@ -1166,20 +1094,13 @@ fn main() -> ExitCode {
     let mut csv_dir: Option<String> = None;
     let mut seeds: u64 = 3;
     let mut cache_dir: Option<String> = Some("results/cache".to_owned());
-    let mut bench_out = "BENCH_sweep.json".to_owned();
     let mut manifest_out = "manifest.json".to_owned();
-    let mut profile = false;
     let mut stalls = false;
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
         if flag == "--no-cache" {
             cache_dir = None;
-            i += 1;
-            continue;
-        }
-        if flag == "--profile" {
-            profile = true;
             i += 1;
             continue;
         }
@@ -1219,36 +1140,22 @@ fn main() -> ExitCode {
                 Err(_) => return usage(),
             },
             "--cache" => cache_dir = Some(value.clone()),
-            "--bench-out" => bench_out = value.clone(),
             "--manifest-out" => manifest_out = value.clone(),
             _ => return usage(),
         }
         i += 2;
     }
     let session = match &cache_dir {
-        Some(dir) => SweepSession::with_disk_cache(dir),
-        None => SweepSession::new(),
+        Some(dir) => SweepSession::with_profiler_and_disk_cache(dir, WallProfiler::new()),
+        None => SweepSession::with_profiler(WallProfiler::new()),
     }
     .stall_profiling(stalls);
-    if profile {
-        run_figures(
-            &cmd,
-            &opts,
-            Arc::new(session.into_profiled()),
-            csv_dir.as_ref(),
-            seeds,
-            &bench_out,
-            &manifest_out,
-        )
-    } else {
-        run_figures(
-            &cmd,
-            &opts,
-            Arc::new(session),
-            csv_dir.as_ref(),
-            seeds,
-            &bench_out,
-            &manifest_out,
-        )
-    }
+    run_figures(
+        &cmd,
+        &opts,
+        Arc::new(session),
+        csv_dir.as_ref(),
+        seeds,
+        &manifest_out,
+    )
 }

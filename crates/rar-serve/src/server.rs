@@ -884,12 +884,13 @@ impl ServerInner {
                 ));
                 return Ok(JobPhase::Failed);
             }
-            tallies.push(result.tally.to_json());
+            tallies.push(result.tally);
         }
-        let document = format!(
-            "{{\"schema\":\"rar-inject-tally-v1\",\"workload\":\"{}\",\
-             \"inject_seed\":{},\"ooo\":{},\"rar\":{}}}\n",
-            inject.workload, inject.inject_seed, tallies[0], tallies[1]
+        let document = rar_inject::tally_document(
+            &inject.workload,
+            inject.inject_seed,
+            &tallies[0],
+            &tallies[1],
         );
         lock(&handle.state, "job state")?.results.push(document);
         Ok(JobPhase::Completed)

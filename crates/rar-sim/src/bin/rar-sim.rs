@@ -3,14 +3,15 @@
 //! ```text
 //! rar-sim --workload mcf --technique rar [--instructions N] [--warmup N]
 //!         [--seed N] [--core 1|2|3|4] [--prefetch none|l3|all] [--trace N]
-//!         [--json PATH] [--telemetry PATH]
+//!         [--json PATH] [--manifest-out PATH] [--stalls]
 //! ```
 //!
 //! `--trace N` prints a per-cycle pipeline view (occupancies, mode, head
 //! state) for the first N cycles after warm-up, then the summary.
-//! `--telemetry PATH` routes the run through a profiled session and
-//! writes the host-side telemetry registry (guest counters, host phase
-//! timings) as JSON — results are bit-identical either way.
+//! The run goes through a profiled sweep session (results are
+//! bit-identical to a bare simulation); `--manifest-out PATH` writes its
+//! run manifest (`rar-manifest-v1`, tool `rar-sim`), whose `telemetry`
+//! member holds the guest counters and host phase timings.
 //! `--stalls` enables the cycle-loop stall profiler: the summary gains a
 //! per-bucket cycle-accounting table (buckets sum exactly to total
 //! cycles) and `--json` exports gain a `stalls` section — the simulated
@@ -19,14 +20,15 @@
 use rar_ace::Structure;
 use rar_core::{CoreConfig, StallBucket, Technique};
 use rar_mem::{MemConfig, PrefetchPlacement};
-use rar_sim::{SimConfig, Simulation};
+use rar_sim::{SimConfig, SweepSession};
+use rar_telemetry::WallProfiler;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rar-sim --workload NAME --technique TECH [--instructions N] [--warmup N] \
          [--seed N] [--core 1|2|3|4] [--prefetch none|l3|all] [--trace N] [--json PATH] \
-         [--telemetry PATH] [--stalls]"
+         [--manifest-out PATH] [--stalls]"
     );
     ExitCode::from(2)
 }
@@ -88,7 +90,7 @@ fn main() -> ExitCode {
     let mut b = SimConfig::builder();
     let mut trace_cycles: u64 = 0;
     let mut json_path: Option<String> = None;
-    let mut telemetry_path: Option<String> = None;
+    let mut manifest_path: Option<String> = None;
     let mut stalls = false;
     let mut i = 0;
     while i < args.len() {
@@ -147,7 +149,7 @@ fn main() -> ExitCode {
                 Err(_) => return usage(),
             },
             "--json" => json_path = Some(value.clone()),
-            "--telemetry" => telemetry_path = Some(value.clone()),
+            "--manifest-out" => manifest_path = Some(value.clone()),
             "--prefetch" => {
                 let p = match value.as_str() {
                     "none" => PrefetchPlacement::None,
@@ -170,31 +172,15 @@ fn main() -> ExitCode {
     if trace_cycles > 0 {
         trace(&cfg, trace_cycles);
     }
-    // With --telemetry the run goes through a profiled session (same
-    // result bit for bit; the session additionally attributes host time).
-    let (r, telemetry) = if telemetry_path.is_some() {
-        let session = rar_sim::SweepSession::new()
-            .into_profiled()
-            .stall_profiling(stalls);
-        let r = match session.run(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let t = session.telemetry_json();
-        (r, Some(t))
-    } else if stalls {
-        match Simulation::try_run_stalled(&cfg) {
-            Ok(r) => (r, None),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+    // Every run goes through a profiled session: the result is the same
+    // bit for bit, and the session attributes host time for the manifest.
+    let session = SweepSession::with_profiler(WallProfiler::new()).stall_profiling(stalls);
+    let r = match session.run(&cfg) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        (Simulation::run(&cfg), None)
     };
     println!("workload      {}", r.workload);
     println!("technique     {}", r.technique);
@@ -247,8 +233,9 @@ fn main() -> ExitCode {
         }
         println!("wrote         {path}");
     }
-    if let (Some(path), Some(telemetry)) = (telemetry_path, telemetry) {
-        if let Err(e) = std::fs::write(&path, telemetry) {
+    if let Some(path) = manifest_path {
+        let manifest = session.manifest_json("rar-sim", env!("CARGO_PKG_VERSION"));
+        if let Err(e) = std::fs::write(&path, manifest) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
         }

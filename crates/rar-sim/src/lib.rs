@@ -44,4 +44,4 @@ pub use experiment::{ExperimentOptions, Suite};
 pub use inject::{run_injection_campaign, InjectionHarness};
 pub use report::{amean, gmean, hmean, Table};
 pub use run::{RunOutput, SimResult, Simulation};
-pub use sweep::{ProfiledSweepSession, RunError, SweepSession, SweepStats, Watchdog};
+pub use sweep::{RunError, SweepSession, SweepStats, Watchdog};

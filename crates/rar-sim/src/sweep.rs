@@ -39,13 +39,14 @@
 //! # Telemetry
 //!
 //! Every session counter lives in a [`MetricsRegistry`] under the
-//! canonical names of [`rar_telemetry::names`], exported via
-//! [`SweepSession::telemetry_json`] / [`SweepSession::telemetry_prometheus`]
-//! and embedded in the run manifest ([`SweepSession::manifest_json`]).
-//! The session is additionally generic over a [`Profiler`]: the default
-//! [`NullProfiler`] compiles every timing scope away (a default build is
-//! bit-identical to an uninstrumented one), while
-//! [`SweepSession::into_profiled`] swaps in a [`WallProfiler`] that
+//! canonical names of [`rar_telemetry::names`], served as Prometheus text
+//! by [`SweepSession::telemetry_prometheus`] and embedded in the run
+//! manifest ([`SweepSession::manifest_json`]), the one record a run
+//! leaves behind. The session is additionally generic over a
+//! [`Profiler`]: the default [`NullProfiler`] compiles every timing scope
+//! away (a default build is bit-identical to an uninstrumented one),
+//! while a session built with [`SweepSession::with_profiler`] and a
+//! [`rar_telemetry::WallProfiler`] — as both CLIs build theirs —
 //! attributes wall-clock time to trace generation, liveness refinement,
 //! core simulation, cache probes/stores and serialization. Long sweeps
 //! report a heartbeat line (completed/total, cache hit rate, runs/sec,
@@ -55,18 +56,16 @@ use crate::cache::DiskCache;
 use crate::config::SimConfig;
 use crate::run::{refinement_horizon, RunArtifacts, SimResult, Simulation};
 use rar_chaos::{retry_with_backoff, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-use rar_core::{RunVerdict, StallBucket, StallProfile};
+use rar_core::{RunVerdict, StallProfile};
 use rar_telemetry::names;
 use rar_telemetry::{
     sanitize_f64, CancelToken, Counter, FlightRecorder, Gauge, Histogram, ManifestBuilder,
     MetricsRegistry, NullProfiler, Phase, Profiler, ProgressReporter, ProgressSnapshot, ScopeTimer,
-    WallProfiler,
 };
 use rar_trace::NullSink;
 use rar_verify::{AceRefinement, ConfigError};
 use rar_workloads::{workload, TracePrefix};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -402,9 +401,6 @@ struct AvfAccum {
     cells: u64,
 }
 
-/// A profiled session: every host-side phase is wall-clock attributed.
-pub type ProfiledSweepSession = SweepSession<WallProfiler>;
-
 #[derive(Debug, Default)]
 struct SeenInputs {
     workloads: BTreeSet<String>,
@@ -482,24 +478,24 @@ impl SweepSession<NullProfiler> {
     /// profiling compiled out.
     #[must_use]
     pub fn new() -> Self {
-        SweepSession::build(None, None, NullProfiler)
+        SweepSession::build(None, NullProfiler)
     }
 
     /// A session that additionally persists every finished cell to `dir`
     /// and replays from it on later runs.
     #[must_use]
     pub fn with_disk_cache(dir: impl Into<PathBuf>) -> Self {
-        SweepSession::build(Some(DiskCache::new(dir)), None, NullProfiler)
+        SweepSession::build(Some(DiskCache::new(dir)), NullProfiler)
     }
 }
 
 impl<P: Profiler> SweepSession<P> {
-    fn build(cache: Option<DiskCache>, threads: Option<usize>, profiler: P) -> Self {
+    fn build(cache: Option<DiskCache>, profiler: P) -> Self {
         let registry = MetricsRegistry::new();
         let counters = SweepCounters::register(&registry);
         SweepSession {
             cache,
-            threads,
+            threads: None,
             watchdog: Watchdog::default(),
             artifacts: ArtifactStore::default(),
             registry,
@@ -516,31 +512,18 @@ impl<P: Profiler> SweepSession<P> {
     }
 
     /// A session recording through an arbitrary [`Profiler`] (e.g. a
-    /// [`rar_telemetry::SpanProfiler`] turning phase scopes into causal
-    /// leaf spans), with in-memory memoization only.
+    /// [`rar_telemetry::WallProfiler`] totalling host time per [`Phase`],
+    /// or a [`rar_telemetry::SpanProfiler`] turning phase scopes into
+    /// causal leaf spans), with in-memory memoization only.
     #[must_use]
     pub fn with_profiler(profiler: P) -> Self {
-        SweepSession::build(None, None, profiler)
+        SweepSession::build(None, profiler)
     }
 
     /// [`SweepSession::with_profiler`] plus an on-disk result cache.
     #[must_use]
     pub fn with_profiler_and_disk_cache(dir: impl Into<PathBuf>, profiler: P) -> Self {
-        SweepSession::build(Some(DiskCache::new(dir)), None, profiler)
-    }
-
-    /// Converts this session into one that attributes wall-clock time per
-    /// [`Phase`] with a [`WallProfiler`]. Call before running anything:
-    /// memoization stores and counters restart from empty.
-    #[must_use]
-    pub fn into_profiled(self) -> SweepSession<WallProfiler> {
-        let profiled = SweepSession::build(self.cache, self.threads, WallProfiler::new());
-        SweepSession {
-            watchdog: self.watchdog,
-            stalls: self.stalls,
-            flight: self.flight,
-            ..profiled
-        }
+        SweepSession::build(Some(DiskCache::new(dir)), profiler)
     }
 
     /// Enables guest-side per-cycle stall/occupancy profiling for every
@@ -551,12 +534,6 @@ impl<P: Profiler> SweepSession<P> {
     pub fn stall_profiling(mut self, on: bool) -> Self {
         self.stalls = on;
         self
-    }
-
-    /// Whether guest-side stall profiling is on.
-    #[must_use]
-    pub fn stall_profiling_enabled(&self) -> bool {
-        self.stalls
     }
 
     /// The stall taxonomy summed over every cell simulated so far, when
@@ -621,12 +598,6 @@ impl<P: Profiler> SweepSession<P> {
     #[must_use]
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// Whether this session's profiler observes anything.
-    #[must_use]
-    pub fn profiling_enabled(&self) -> bool {
-        P::ENABLED
     }
 
     /// Runs a single cell through the session: disk cache, then memoized
@@ -1082,29 +1053,6 @@ impl<P: Profiler> SweepSession<P> {
         }
     }
 
-    /// The session's throughput/caching report as a JSON object — the
-    /// contents of `BENCH_sweep.json`.
-    #[must_use]
-    pub fn bench_json(&self) -> String {
-        let _scope = ScopeTimer::start(&self.profiler, Phase::Serialize);
-        let stats = self.stats();
-        if self.stalls {
-            let profile = self.stall_accum.lock().expect("stall accum lock").clone();
-            bench_json_with_stalls(&stats, &profile)
-        } else {
-            bench_json_from(&stats)
-        }
-    }
-
-    /// The full telemetry registry as sorted-key JSON (profiler phase
-    /// totals included for profiled sessions).
-    #[must_use]
-    pub fn telemetry_json(&self) -> String {
-        let _scope = ScopeTimer::start(&self.profiler, Phase::Serialize);
-        self.profiler.publish(&self.registry);
-        rar_telemetry::export::to_json(&self.registry)
-    }
-
     /// The full telemetry registry in Prometheus text format.
     #[must_use]
     pub fn telemetry_prometheus(&self) -> String {
@@ -1169,72 +1117,17 @@ impl<P: Profiler> SweepSession<P> {
     }
 }
 
-/// Renders [`SweepStats`] as the `BENCH_sweep.json` object. Keys are
-/// emitted in sorted order and every float is finite, so bench diffs are
-/// byte-stable across thread counts and machines (pinned by a golden
-/// test).
-#[must_use]
-pub fn bench_json_from(s: &SweepStats) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"cache_hit_rate\": {:.6},", s.cache_hit_rate());
-    let _ = writeln!(out, "  \"cache_hits\": {},", s.cache_hits);
-    let _ = writeln!(out, "  \"completed\": {},", s.completed());
-    let _ = writeln!(out, "  \"failed\": {},", s.failed);
-    let _ = writeln!(
-        out,
-        "  \"refinement_memo_hits\": {},",
-        s.refinement_memo_hits
-    );
-    let _ = writeln!(
-        out,
-        "  \"refinement_memo_misses\": {},",
-        s.refinement_memo_misses
-    );
-    let _ = writeln!(out, "  \"rejected\": {},", s.rejected);
-    let _ = writeln!(out, "  \"runs_per_second\": {:.3},", s.runs_per_second());
-    out.push_str("  \"schema\": \"rar-bench-sweep-v1\",\n");
-    let _ = writeln!(out, "  \"simulated\": {},", s.simulated);
-    let _ = writeln!(out, "  \"threads\": {},", s.threads);
-    let _ = writeln!(out, "  \"trace_memo_hits\": {},", s.trace_memo_hits);
-    let _ = writeln!(out, "  \"trace_memo_misses\": {},", s.trace_memo_misses);
-    let _ = writeln!(
-        out,
-        "  \"wall_seconds\": {:.6}",
-        sanitize_f64(s.wall_seconds.max(0.0))
-    );
-    out.push_str("}\n");
-    out
-}
-
-/// [`bench_json_from`] plus the session's aggregate stall attribution:
-/// one `stall_<bucket>_cycles` key per taxonomy bucket, the quiescent
-/// fraction, and the conservation total. Keys stay sorted — the stall
-/// block slots between `"simulated"` and `"threads"` — so the output
-/// remains diff-stable line by line.
-#[must_use]
-pub fn bench_json_with_stalls(s: &SweepStats, p: &StallProfile) -> String {
-    let mut lines: Vec<String> = StallBucket::ALL
-        .iter()
-        .map(|&b| format!("  \"stall_{}_cycles\": {},\n", b.name(), p.count(b)))
-        .collect();
-    lines.push(format!(
-        "  \"stall_quiescent_fraction\": {:.6},\n",
-        sanitize_f64(p.quiescent_fraction())
-    ));
-    lines.push(format!("  \"stall_total_cycles\": {},\n", p.total()));
-    lines.sort_unstable();
-    let mut block: String = lines.concat();
-    let base = bench_json_from(s);
-    debug_assert!(base.contains("  \"threads\":"));
-    block.push_str("  \"threads\":");
-    base.replacen("  \"threads\":", &block, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rar_core::Technique;
+    use rar_core::{StallBucket, Technique};
+    use rar_telemetry::WallProfiler;
+    use rar_trace::jsonv::{self, Value};
+
+    /// The value of counter `name` in a manifest's embedded telemetry.
+    fn manifest_counter(manifest: &str, name: &str) -> Option<u64> {
+        crate::dashboard::counter_value(&jsonv::parse(manifest).expect("manifest is JSON"), name)
+    }
 
     fn grid() -> Vec<SimConfig> {
         let mut v = Vec::new();
@@ -1313,9 +1206,14 @@ mod tests {
         assert_eq!(s.threads, 2);
         assert!(s.wall_seconds > 0.0);
         assert!(s.runs_per_second() > 0.0);
-        let json = session.bench_json();
-        assert!(json.contains("\"schema\": \"rar-bench-sweep-v1\""));
-        assert!(json.contains("\"simulated\": 2"));
+        let manifest = session.manifest_json("rar-sim-tests", "0.1.0");
+        let doc = jsonv::parse(&manifest).expect("manifest is JSON");
+        assert_eq!(doc.get("cells_simulated").and_then(Value::as_u64), Some(2));
+        assert_eq!(doc.get("threads").and_then(Value::as_u64), Some(2));
+        assert!(doc
+            .get("runs_per_second")
+            .and_then(Value::as_f64)
+            .is_some_and(|r| r > 0.0));
     }
 
     #[test]
@@ -1325,19 +1223,19 @@ mod tests {
         // exactly.
         let grid = grid();
         let plain = SweepSession::new().threads(2);
-        let profiled = SweepSession::new().threads(2).into_profiled();
+        let profiled = SweepSession::with_profiler(WallProfiler::new()).threads(2);
         let a = plain.run_all(&grid);
         let b = profiled.run_all(&grid);
         assert_eq!(a, b);
-        // And the profiler actually attributed time somewhere:
-        // telemetry_json() publishes the phase totals into the registry.
-        let telemetry = profiled.telemetry_json();
-        assert!(telemetry.contains("rar_profile_core_sim_nanos_total"));
-        let sim_nanos = profiled
-            .registry()
-            .counter("rar_profile_core_sim_nanos_total")
-            .get();
-        assert!(sim_nanos > 0, "core sim time must be nonzero");
+        // And the profiler actually attributed time somewhere: the
+        // manifest publishes the phase totals into its telemetry.
+        let manifest = profiled.manifest_json("rar-sim-tests", "0.1.0");
+        assert!(manifest.contains("\"profiled\": \"yes\""), "{manifest}");
+        let sim_nanos = manifest_counter(&manifest, "rar_profile_core_sim_nanos_total");
+        assert!(
+            sim_nanos.is_some_and(|n| n > 0),
+            "core sim time must be nonzero"
+        );
     }
 
     #[test]
@@ -1350,75 +1248,11 @@ mod tests {
         assert_eq!(s.runs_per_second(), 0.0);
         // Match non-finite *values* (`: inf`), not the substring `inf`,
         // which legitimately appears in `rar_sweep_inflight_waits_total`.
-        let json = session.bench_json();
-        assert!(!json.contains("NaN") && !json.contains(": inf"), "{json}");
         let manifest = session.manifest_json("rar-sim-tests", "0.0.0");
-        assert!(!manifest.contains("NaN") && !manifest.contains(": inf"));
-    }
-
-    #[test]
-    fn bench_json_golden_bytes() {
-        // Pinned: sorted keys, fixed precision, schema tag in place. If
-        // this fails the bench format changed — bump the schema string
-        // and update every consumer (CI jq filters, report subcommand).
-        let s = SweepStats {
-            simulated: 5,
-            cache_hits: 15,
-            rejected: 1,
-            failed: 2,
-            trace_memo_hits: 4,
-            trace_memo_misses: 2,
-            refinement_memo_hits: 4,
-            refinement_memo_misses: 2,
-            wall_seconds: 2.5,
-            threads: 8,
-        };
-        let expected = "{\n\
-            \x20 \"cache_hit_rate\": 0.750000,\n\
-            \x20 \"cache_hits\": 15,\n\
-            \x20 \"completed\": 20,\n\
-            \x20 \"failed\": 2,\n\
-            \x20 \"refinement_memo_hits\": 4,\n\
-            \x20 \"refinement_memo_misses\": 2,\n\
-            \x20 \"rejected\": 1,\n\
-            \x20 \"runs_per_second\": 8.000,\n\
-            \x20 \"schema\": \"rar-bench-sweep-v1\",\n\
-            \x20 \"simulated\": 5,\n\
-            \x20 \"threads\": 8,\n\
-            \x20 \"trace_memo_hits\": 4,\n\
-            \x20 \"trace_memo_misses\": 2,\n\
-            \x20 \"wall_seconds\": 2.500000\n\
-            }\n";
-        assert_eq!(bench_json_from(&s), expected);
-        // Keys must be sorted so diffs between runs are positional.
-        let keys: Vec<&str> = expected
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix('"'))
-            .filter_map(|l| l.split('"').next())
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn bench_json_is_finite_for_degenerate_stats() {
-        let s = SweepStats {
-            simulated: 0,
-            cache_hits: 0,
-            rejected: 0,
-            failed: 0,
-            trace_memo_hits: 0,
-            trace_memo_misses: 0,
-            refinement_memo_hits: 0,
-            refinement_memo_misses: 0,
-            wall_seconds: 0.0,
-            threads: 0,
-        };
-        let json = bench_json_from(&s);
-        assert!(json.contains("\"cache_hit_rate\": 0.000000"));
-        assert!(json.contains("\"runs_per_second\": 0.000"));
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+        assert!(
+            !manifest.contains("NaN") && !manifest.contains(": inf"),
+            "{manifest}"
+        );
     }
 
     #[test]
@@ -1739,10 +1573,18 @@ mod tests {
     #[test]
     fn telemetry_exports_cover_every_canonical_metric() {
         let session = SweepSession::new();
-        let json = session.telemetry_json();
+        let manifest = session.manifest_json("rar-sim-tests", "0.1.0");
+        let doc = jsonv::parse(&manifest).expect("manifest is JSON");
+        let metrics = doc
+            .get("telemetry")
+            .and_then(|t| t.get("metrics"))
+            .expect("manifest embeds the telemetry registry");
         let prom = session.telemetry_prometheus();
         for name in names::ALL {
-            assert!(json.contains(name), "{name} missing from telemetry JSON");
+            assert!(
+                metrics.get(name).is_some(),
+                "{name} missing from the manifest"
+            );
             assert!(prom.contains(name), "{name} missing from Prometheus text");
         }
     }
@@ -1756,7 +1598,6 @@ mod tests {
         let grid = grid();
         let plain = SweepSession::new();
         let stalled = SweepSession::new().stall_profiling(true);
-        assert!(stalled.stall_profiling_enabled());
         let a = plain.run_all(&grid);
         let b = stalled.run_all(&grid);
         // Identical modulo the stall-profile carrier field itself.
@@ -1807,31 +1648,24 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_with_stalls_inserts_sorted_stall_block() {
+    fn manifest_stall_counters_match_the_stall_profile() {
         let session = SweepSession::new().stall_profiling(true);
         let _ = session.run_all(&grid()[..2]);
-        let json = session.bench_json();
+        let profile = session.stall_profile().expect("profiling was on");
+        let manifest = session.manifest_json("rar-sim-tests", "0.1.0");
+        let mut sum = 0;
         for bucket in StallBucket::ALL {
-            assert!(
-                json.contains(&format!("\"stall_{}_cycles\":", bucket.name())),
-                "{json}"
-            );
+            let name = format!("rar_stall_{}_cycles_total", bucket.name());
+            let cycles = manifest_counter(&manifest, &name).expect("stall counter in manifest");
+            assert_eq!(cycles, profile.count(bucket), "{name}");
+            sum += cycles;
         }
-        assert!(json.contains("\"stall_quiescent_fraction\":"));
-        assert!(json.contains("\"stall_total_cycles\":"));
-        // The stall block keeps the whole document sorted by key.
-        let keys: Vec<&str> = json
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix('"'))
-            .filter_map(|l| l.split('"').next())
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "{json}");
-        // Without profiling, the pinned plain format is untouched.
-        let off = SweepSession::new();
-        let _ = off.run_all(&grid()[..2]);
-        assert!(!off.bench_json().contains("stall_"));
+        let doc = jsonv::parse(&manifest).expect("manifest is JSON");
+        assert_eq!(
+            doc.get("stall_total_cycles").and_then(Value::as_u64),
+            Some(sum)
+        );
+        assert!(sum > 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Manifests are read back with the workspace's JSON reader,
 //! [`rar_trace::jsonv`]: [`validate_manifest`] is the schema check CI
 //! runs on every generated manifest, and `rar-experiments report` reads
-//! manifests and `BENCH_*.json` files the same way.
+//! manifests, its only input, the same way.
 
 use crate::export::sanitize_f64;
 use crate::registry::MetricsRegistry;

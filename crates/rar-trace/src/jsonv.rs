@@ -2,10 +2,9 @@
 //!
 //! The workspace deliberately carries no external dependencies, so every
 //! JSON document it reads back — disk-cache entries, the campaign and
-//! queue journals, job specs and status documents, run manifests,
-//! `BENCH_*.json` reports, and the Chrome traces the tests check — goes
-//! through [`parse`], and every string it writes into JSON goes through
-//! [`escape`].
+//! queue journals, job specs and status documents, run manifests, and
+//! the Chrome traces the tests check — goes through [`parse`], and every
+//! string it writes into JSON goes through [`escape`].
 //!
 //! [`parse`] accepts exactly RFC 8259 JSON in one pass and builds a
 //! [`Value`] tree that borrows numbers and escape-free strings from the
