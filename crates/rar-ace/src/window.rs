@@ -188,6 +188,7 @@ impl WindowSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rar_isa::rng::XorShift64Star;
 
     #[test]
     fn empty_set_has_zero_overlap() {
@@ -266,14 +267,6 @@ mod tests {
         assert!(!w.is_open());
     }
 
-    /// xorshift64 for the seeded tests.
-    fn next(x: &mut u64) -> u64 {
-        *x ^= *x << 13;
-        *x ^= *x >> 7;
-        *x ^= *x << 17;
-        *x
-    }
-
     /// Cycles in `[start, end)` covered by a closed window or by an open
     /// one (which covers every cycle from its start), counted one by one.
     fn brute_overlap(closed: &[(u64, u64)], open: Option<u64>, start: u64, end: u64) -> u64 {
@@ -286,10 +279,15 @@ mod tests {
 
     /// Compares 25 queries, in no particular order and some empty or
     /// reversed, with the cycle-by-cycle count and the search reference.
-    fn check_queries(w: &WindowSet, closed: &[(u64, u64)], open: Option<u64>, x: &mut u64) {
+    fn check_queries(
+        w: &WindowSet,
+        closed: &[(u64, u64)],
+        open: Option<u64>,
+        rng: &mut XorShift64Star,
+    ) {
         for _ in 0..25 {
-            let a = next(x) % 700;
-            let b = next(x) % 700;
+            let a = rng.below(700);
+            let b = rng.below(700);
             let expected = brute_overlap(closed, open, a, b);
             assert_eq!(
                 w.overlap(a, b),
@@ -302,21 +300,21 @@ mod tests {
 
     #[test]
     fn overlap_matches_a_cycle_by_cycle_count() {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = XorShift64Star::new(1);
         for _ in 0..40 {
             let mut w = WindowSet::new();
             let mut closed = Vec::new();
-            let mut t = next(&mut x) % 20;
-            for _ in 0..next(&mut x) % 24 {
+            let mut t = rng.below(20);
+            for _ in 0..rng.below(24) {
                 // Gaps and lengths of zero included: back-to-back windows
                 // and discarded zero-length ones.
-                t += next(&mut x) % 12;
+                t += rng.below(12);
                 w.open(t);
-                if next(&mut x).is_multiple_of(4) {
+                if rng.next_u64().is_multiple_of(4) {
                     w.open(t + 3); // re-detection keeps the first open
                 }
                 let start = t;
-                t += next(&mut x) % 30;
+                t += rng.below(30);
                 let recorded = w.close(t);
                 if t > start {
                     closed.push((start, t));
@@ -324,12 +322,12 @@ mod tests {
                 } else {
                     assert_eq!(recorded, None);
                 }
-                check_queries(&w, &closed, None, &mut x);
+                check_queries(&w, &closed, None, &mut rng);
             }
-            if next(&mut x).is_multiple_of(2) {
-                t += next(&mut x) % 12;
+            if rng.next_u64().is_multiple_of(2) {
+                t += rng.below(12);
                 w.open(t);
-                check_queries(&w, &closed, Some(t), &mut x);
+                check_queries(&w, &closed, Some(t), &mut rng);
             }
             let total: u64 = closed.iter().map(|(s, e)| e - s).sum();
             assert_eq!(w.total_cycles(), total);

@@ -185,29 +185,10 @@ pub struct ChaosHit {
     pub roll: u64,
 }
 
-/// splitmix64 finalizer: cheap, well-mixed, dependency-free.
-#[cfg(feature = "enabled")]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over the site name, so each site gets an independent roll stream.
-#[cfg(feature = "enabled")]
-fn site_hash(site: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in site.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 #[cfg(feature = "enabled")]
 mod armed {
-    use super::{mix, site_hash, ChaosHit, ChaosPlan, ENV_VAR};
+    use super::{ChaosHit, ChaosPlan, ENV_VAR};
+    use rar_isa::rng::{derive_seed, mix};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{OnceLock, RwLock};
 
@@ -275,7 +256,8 @@ mod armed {
             return None;
         }
         armed.injected.fetch_add(1, Ordering::Relaxed);
-        let roll = mix(plan.seed ^ site_hash(site) ^ mix(n));
+        // Seeding by site name gives each site an independent roll stream.
+        let roll = mix(derive_seed(plan.seed, site) ^ mix(n));
         Some(ChaosHit { roll })
     }
 

@@ -8,6 +8,7 @@
 //! a given seed, so chaos runs replay exactly), and an optional
 //! per-call-site telemetry counter bumped once per failed attempt.
 
+use rar_isa::rng::XorShift64Star;
 use rar_telemetry::Counter;
 use std::time::Duration;
 
@@ -40,16 +41,6 @@ impl RetryPolicy {
     }
 }
 
-/// xorshift64* step; dependency-free PRNG for jitter.
-fn next_rand(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
 /// Run `op` up to `policy.attempts` times with decorrelated-jitter
 /// backoff between failures.
 ///
@@ -72,7 +63,7 @@ pub fn retry_with_backoff<T, E>(
     let attempts = policy.attempts.max(1);
     let base = policy.base_ms.max(1);
     let cap = policy.cap_ms.max(base);
-    let mut rng = seed | 1; // xorshift state must be non-zero
+    let mut rng = XorShift64Star::new(seed);
     let mut sleep_ms = base;
     let mut attempt = 0;
     loop {
@@ -88,7 +79,7 @@ pub fn retry_with_backoff<T, E>(
                 }
                 // Decorrelated jitter: sleep in [base, min(cap, 3*prev)].
                 let hi = (sleep_ms.saturating_mul(3)).clamp(base, cap);
-                sleep_ms = base + next_rand(&mut rng) % (hi - base + 1);
+                sleep_ms = base + rng.below(hi - base + 1);
                 std::thread::sleep(Duration::from_millis(sleep_ms));
             }
         }

@@ -6,10 +6,10 @@
 //! `rar-inject` crate for the campaign machinery). This module defines the
 //! *what*: the injectable structures ([`FaultTarget`]), the fault tuple
 //! ([`PlannedFault`]), where a strike landed ([`FaultLanding`]), and a
-//! deterministic xorshift-seeded sampler ([`SiteSampler`]) whose `k`-th
-//! site is a pure function of `(seed, k)` — campaigns are therefore
-//! reproducible bit-for-bit across thread counts and resumable without
-//! replaying the generator.
+//! deterministic sampler ([`SiteSampler`], over `rar_isa::rng`'s
+//! xorshift64*) whose `k`-th site is a pure function of `(seed, k)` —
+//! campaigns are therefore reproducible bit-for-bit across thread counts
+//! and resumable without replaying the generator.
 //!
 //! ## Fault semantics in a timing simulator
 //!
@@ -31,6 +31,7 @@ use rar_ace::bits::{
     SQ_ENTRY_BITS,
 };
 use rar_ace::Structure;
+use rar_isa::rng::XorShift64Star;
 use rar_mem::MemConfig;
 
 /// Per-entry SST bits: a 48-bit PC tag plus LRU metadata.
@@ -242,43 +243,6 @@ pub struct FaultReport {
 pub trait FaultInjector {
     /// The `k`-th planned fault.
     fn plan(&self, k: u64) -> PlannedFault;
-}
-
-/// `xorshift64*` — the campaign's deterministic bit mixer.
-#[derive(Debug, Clone)]
-pub struct XorShift64Star {
-    state: u64,
-}
-
-impl XorShift64Star {
-    /// Seeds the generator; a zero seed is remapped to a fixed nonzero
-    /// constant (xorshift has an all-zero fixed point).
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        XorShift64Star {
-            state: if seed == 0 {
-                0x9e37_79b9_7f4a_7c15
-            } else {
-                seed
-            },
-        }
-    }
-
-    /// Next 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform draw in `[0, bound)`; `bound` must be nonzero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        self.next_u64() % bound
-    }
 }
 
 /// Deterministic site sampler: uniform over the configured targets'

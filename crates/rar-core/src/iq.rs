@@ -171,6 +171,7 @@ impl IssueQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rar_isa::rng::XorShift64Star;
     use rar_isa::RegClass;
 
     fn int(index: u16) -> PhysReg {
@@ -299,30 +300,24 @@ mod tests {
     fn a_cached_wake_never_hides_a_ready_resident() {
         // Seeded random pushes, removals and ready-time writes; after each
         // step the cached selection must equal a fresh scan's.
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rand = |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
+        let mut rng = XorShift64Star::new(1);
         let mut iq = IssueQueue::new(8, 16);
         let mut next_seq = 0;
         let mut out = Vec::new();
         for now in 0..5_000u64 {
-            match rand(6) {
+            match rng.below(6) {
                 0 if iq.len() < 8 => {
                     let src = |r: u64| (r < 16).then(|| int(r as u16));
-                    iq.push(next_seq, &[src(rand(20)), src(rand(20))], 8);
+                    iq.push(next_seq, &[src(rng.below(20)), src(rng.below(20))], 8);
                     next_seq += 1;
                 }
-                1 => iq.remove(next_seq.saturating_sub(1 + rand(8))),
+                1 => iq.remove(next_seq.saturating_sub(1 + rng.below(8))),
                 2 => {
-                    let at = match rand(3) {
+                    let at = match rng.below(3) {
                         0 => u64::MAX,
-                        _ => now + rand(40),
+                        _ => now + rng.below(40),
                     };
-                    iq.set_ready(rand(16) as usize, at);
+                    iq.set_ready(rng.below(16) as usize, at);
                 }
                 _ => {}
             }

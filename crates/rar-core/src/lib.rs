@@ -58,7 +58,6 @@ pub mod technique;
 pub use config::{exec_latency, CoreConfig, FuConfig};
 pub use inject::{
     FaultInjector, FaultLanding, FaultReport, FaultTarget, PlannedFault, SiteSampler,
-    XorShift64Star,
 };
 pub use pipeline::{Core, PipelineSnapshot, RunVerdict};
 pub use rar_trace::{NullSink, RingSink, TraceEvent, TraceSink};

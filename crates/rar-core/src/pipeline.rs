@@ -38,6 +38,7 @@ use rar_ace::bits::{
 };
 use rar_ace::{AceCounter, ReliabilityReport, StallKind, Structure};
 use rar_frontend::BranchPredictor;
+use rar_isa::rng::{self, SplitMix64, GOLDEN_GAMMA};
 #[cfg(test)]
 use rar_isa::Uop;
 use rar_isa::{cache_line, ArchReg, RegClass, UopKind, UopSource};
@@ -128,8 +129,8 @@ pub struct Core<S, T: TraceSink = NullSink> {
     /// Cycle the current CRE epoch started; the engine periodically
     /// re-derives its chains (and register validity) from the ROB.
     cre_epoch_start: u64,
-    /// Deterministic generator state for synthetic wrong-path micro-ops.
-    wp_rng: u64,
+    /// Deterministic generator for synthetic wrong-path micro-ops.
+    wp_rng: SplitMix64,
     /// Line address of the most recent correct-path load (wrong-path
     /// loads pollute nearby memory).
     last_load_line: u64,
@@ -250,7 +251,8 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
             wrong_path_after: None,
             cre: None,
             cre_epoch_start: 0,
-            wp_rng: 0xabcd_ef01_2345_6789,
+            // `new` adds one GOLDEN_GAMMA: the state starts at 0xabcd_ef01_2345_6789.
+            wp_rng: SplitMix64::new(0xabcd_ef01_2345_6789u64.wrapping_sub(GOLDEN_GAMMA)),
             last_load_line: 0x1_0000_0000,
             stats: CoreStats::default(),
             stall_profile: None,
@@ -1398,14 +1400,6 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         Wait::at(self.now + 1)
     }
 
-    fn wp_next(&mut self) -> u64 {
-        self.wp_rng = self.wp_rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.wp_rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// Dispatches synthetic wrong-path micro-ops while a mispredicted
     /// branch is unresolved. They rename, occupy back-end resources,
     /// execute (polluting caches and MSHRs), and are squashed at
@@ -1423,7 +1417,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 Some(tail) => tail.seq + 1,
                 None => return, // branch already gone; episode is ending
             };
-            let r = self.wp_next();
+            let r = self.wp_rng.next_u64();
             let pc = 0x7f_0000 + (r % 512) * 4;
             let uop = if r % 10 < 3 {
                 if self.lq_count >= self.cfg.lq_size {
@@ -1432,7 +1426,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 // Wrong-path loads wander near recent correct-path data.
                 let addr = self
                     .last_load_line
-                    .wrapping_add((self.wp_next() % 4096) * 64)
+                    .wrapping_add((self.wp_rng.next_u64() % 4096) * 64)
                     & !63;
                 rar_isa::Uop::load(pc, addr, 8).with_dest(ArchReg::int((r % 32) as u8))
             } else {
@@ -2009,13 +2003,6 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         self.poisoned_regs.iter().filter(|&&p| p != 0).count() as u64
     }
 
-    fn digest_mix(&mut self, w: u64) {
-        let mut z = self.digest ^ w;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.digest = z ^ (z >> 31);
-    }
-
     fn update_commit_digest(&mut self, e: &Entry) {
         let mut w = e.seq ^ (e.uop.kind() as u64).rotate_left(17) ^ e.uop.pc().rotate_left(32);
         if let Some(m) = e.uop.mem() {
@@ -2034,7 +2021,7 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
                 w ^= 0x5bf0_3635_ded5_3e21u64.rotate_left((e.seq % 63) as u32);
             }
         }
-        self.digest_mix(w);
+        self.digest = rng::mix(self.digest ^ w);
     }
 
     /// The effective memory address of `seq`, with the injected address

@@ -210,6 +210,7 @@ impl Prdq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rar_isa::rng::XorShift64Star;
 
     #[test]
     fn insert_then_contains() {
@@ -297,13 +298,7 @@ mod tests {
     fn indexed_table_matches_the_linear_scan() {
         // Few distinct PCs one bit apart, so small tables evict constantly
         // and corrupted tags often duplicate resident ones.
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut rand = |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
+        let mut rng = XorShift64Star::new(1);
         for capacity in [1, 2, 3, 5, 8] {
             let mut sst = Sst::new(capacity);
             let mut reference = LinearSst {
@@ -314,14 +309,15 @@ mod tests {
                 lookups: 0,
             };
             for step in 0..20_000 {
-                let pc = 0x400 + rand(12) * 4;
-                match rand(10) {
+                let pc = 0x400 + rng.below(12) * 4;
+                match rng.below(10) {
                     0..=3 => {
                         sst.insert(pc);
                         reference.insert(pc);
                     }
                     4 => {
-                        let (idx, bit) = (rand(capacity as u64 + 1) as usize, 2 + rand(3));
+                        let (idx, bit) =
+                            (rng.below(capacity as u64 + 1) as usize, 2 + rng.below(3));
                         assert_eq!(
                             sst.corrupt_entry(idx, bit),
                             reference.corrupt_entry(idx, bit),

@@ -7,6 +7,8 @@
 //! history (the *provider*); allocation on mispredictions steals
 //! not-useful entries in longer tables.
 
+use rar_isa::rng::{XorShift64Star, GOLDEN_GAMMA};
+
 /// Geometry of a TAGE predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TageConfig {
@@ -206,7 +208,8 @@ pub struct Tage {
     /// Per tagged table, its history length folded to each hash width.
     folds: Vec<TableFolds>,
     use_alt_on_new: i8,
-    rng_state: u64,
+    /// Allocation tie-breaks.
+    rng: XorShift64Star,
 }
 
 impl Tage {
@@ -235,7 +238,7 @@ impl Tage {
             history: GlobalHistory::new(max_hist.max(64)),
             folds,
             use_alt_on_new: 0,
-            rng_state: 0x9e37_79b9_7f4a_7c15,
+            rng: XorShift64Star::new(GOLDEN_GAMMA),
             config,
         }
     }
@@ -306,16 +309,6 @@ impl Tage {
         }
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64* — deterministic tie-breaking for allocation.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
     /// Updates predictor state with the resolved outcome, then shifts the
     /// outcome into global history. `pred` must be the value returned by
     /// [`Tage::predict`] for this dynamic branch.
@@ -362,7 +355,7 @@ impl Tage {
                 let (first, second) = (candidates.next(), candidates.next());
                 // Probabilistically skip the first candidate to spread
                 // allocations across tables (as in Seznec's code).
-                let skip = self.next_rand() & 1 == 1;
+                let skip = self.rng.next_u64() & 1 == 1;
                 let chosen = if skip { second.or(first) } else { first };
                 if let Some(t) = chosen {
                     let idx = self.tagged_index(pc, t);
@@ -511,16 +504,13 @@ mod tests {
             .iter()
             .map(|&(len, width)| FoldedHistory::new(len, width))
             .collect();
-        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = XorShift64Star::new(1);
         for step in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
             // Long runs of one value as well as random bits.
             let taken = if step % 3_000 < 400 {
                 step % 6_000 < 3_000
             } else {
-                x & 1 == 1
+                rng.next_u64() & 1 == 1
             };
             history.push(taken);
             for (fold, &(len, width)) in folds.iter_mut().zip(&pairs) {

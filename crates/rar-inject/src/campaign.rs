@@ -39,7 +39,7 @@ use rar_chaos::{retry_with_backoff, RetryPolicy};
 use rar_core::{FaultInjector, PlannedFault};
 use rar_telemetry::{names, CancelToken, Counter, FlightRecorder, MetricsRegistry};
 
-use crate::journal::{load_journal, JournalRecord, JournalWriter};
+use crate::journal::{JournalRecord, JournalWriter};
 use crate::outcome::{Outcome, Tally};
 
 /// Campaign shape and robustness knobs.
@@ -233,24 +233,26 @@ where
 {
     let counters = Counters::new(registry);
 
-    // Resume: replay completed sample indices from the journal.
+    // Resume: replay completed sample indices from the journal, then
+    // append after its durable prefix.
     let mut tally = Tally::new();
     let mut done: HashSet<u64> = HashSet::new();
-    if let Some(path) = &spec.journal {
-        for rec in load_journal(path)? {
-            if rec.k < spec.samples && done.insert(rec.k) {
-                tally.record(rec.fault.target, rec.outcome);
+    let writer = match &spec.journal {
+        Some(path) => {
+            let (records, writer) = JournalWriter::resume(path, spec.fsync_every)?;
+            for rec in records {
+                if rec.k < spec.samples && done.insert(rec.k) {
+                    tally.record(rec.fault.target, rec.outcome);
+                }
             }
+            Some(writer)
         }
-    }
+        None => None,
+    };
     let resumed = done.len() as u64;
     counters.resumed.add(resumed);
     counters.runs.add(resumed);
 
-    let writer = match &spec.journal {
-        Some(path) => Some(JournalWriter::open(path, spec.fsync_every)?),
-        None => None,
-    };
     let writer = Mutex::new(writer);
 
     let next_k = AtomicU64::new(0);
@@ -435,6 +437,40 @@ mod tests {
         )
         .expect("phase1");
         assert_eq!(phase1.completed, 80);
+
+        // A kill mid-append tears the last record at any byte, its newline
+        // included. Resume once with a limit, then again to completion:
+        // the first resume must not fuse its appends onto the torn line.
+        let bytes = std::fs::read(&path).expect("phase-1 journal");
+        let last = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        let torn = tmp_journal("resume-torn");
+        for cut in last..bytes.len() {
+            std::fs::write(&torn, &bytes[..cut]).expect("write torn journal");
+            for limit in [Some(10), None] {
+                let resumed = run_campaign(
+                    &CampaignSpec {
+                        samples: 200,
+                        threads: 4,
+                        journal: Some(torn.clone()),
+                        fsync_every: 1,
+                        limit,
+                        ..CampaignSpec::default()
+                    },
+                    &MockInjector,
+                    |k, _f| Ok(classify(k)),
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("resume after a cut at byte {cut}: {e}"));
+                if limit.is_none() {
+                    assert_eq!(resumed.completed, 200, "cut at byte {cut}");
+                    assert_eq!(resumed.tally, uninterrupted.tally, "cut at byte {cut}");
+                }
+            }
+        }
+        std::fs::remove_file(&torn).ok();
 
         // Phase 2: resume with the same journal, run to completion.
         let reg = MetricsRegistry::new();

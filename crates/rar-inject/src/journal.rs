@@ -12,9 +12,10 @@
 //! Durability is batched: lines are buffered and pushed to disk with
 //! `sync_data` every `fsync_every` records, bounding loss on a crash to
 //! one batch. A process killed mid-append can leave a torn (partial) final
-//! line; [`load_journal`] skips exactly that case, while corruption
-//! anywhere else in the file is reported as an error rather than silently
-//! dropped.
+//! line; [`replay`] skips exactly that case, while corruption anywhere
+//! else in the file is reported as an error rather than silently dropped,
+//! and [`reopen`] cuts the torn line off before the next append. The
+//! daemon's queue journal replays and reopens through the same two.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -120,7 +121,7 @@ impl std::error::Error for JournalPathError {
 }
 
 /// Checks that `path` can actually serve as a journal, by probing it the
-/// same way [`JournalWriter::open`] will (parents created, file opened
+/// same way [`JournalWriter::resume`] will (parents created, file opened
 /// for append). On success an empty journal file exists at `path`, which
 /// [`load_journal`] treats as a fresh start.
 ///
@@ -133,7 +134,7 @@ pub fn validate_journal_path(path: &Path) -> Result<(), JournalPathError> {
     if path.is_dir() {
         return Err(JournalPathError::IsDirectory(path.to_path_buf()));
     }
-    match JournalWriter::open(path, 1) {
+    match open_append(path) {
         Ok(_) => Ok(()),
         Err(source) => Err(JournalPathError::Unwritable {
             path: path.to_path_buf(),
@@ -152,20 +153,24 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Opens (creating or appending to) the journal at `path`.
-    pub fn open(path: &Path, fsync_every: usize) -> io::Result<JournalWriter> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JournalWriter {
-            file,
+    /// Replays the journal at `path` (see [`replay`]) and reopens it for
+    /// appending (see [`reopen`]); returns its intact records and the writer.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or corruption before the final line.
+    pub fn resume(
+        path: &Path,
+        fsync_every: usize,
+    ) -> io::Result<(Vec<JournalRecord>, JournalWriter)> {
+        let (records, durable_len) = replay(path, "journal", JournalRecord::parse_line)?;
+        let writer = JournalWriter {
+            file: reopen(path, durable_len)?,
             buf: Vec::new(),
             pending: 0,
             fsync_every: fsync_every.max(1),
-        })
+        };
+        Ok((records, writer))
     }
 
     /// Appends one record; returns `true` when this append flushed a batch
@@ -200,33 +205,82 @@ impl JournalWriter {
     }
 }
 
-/// Loads every intact record from a journal file.
+/// Loads every intact record from a journal file (see [`replay`]).
 ///
-/// A missing file is an empty campaign (fresh start). A malformed *final*
-/// line is a torn append from a crash and is skipped; a malformed line
-/// anywhere else is corruption and returns `InvalidData` — resuming over
-/// silently dropped completions would double-count on the next run.
+/// # Errors
+///
+/// I/O failures, or corruption before the final line.
 pub fn load_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
+    replay(path, "journal", JournalRecord::parse_line).map(|(records, _)| records)
+}
+
+/// Replays the JSONL journal at `path`, parsing each non-blank line with
+/// `parse`. A missing file is empty. A malformed final line is a torn
+/// append from a crash and is skipped; a malformed line anywhere else is
+/// corruption (`InvalidData`, naming the `what` journal and the line).
+/// Returns the records and the durable length: the bytes through the last
+/// intact line, counting a newline the crash tore off it.
+///
+/// # Errors
+///
+/// I/O failures, or corruption before the final line.
+pub fn replay<T>(
+    path: &Path,
+    what: &str,
+    mut parse: impl FnMut(&str) -> Option<T>,
+) -> io::Result<(Vec<T>, u64)> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e),
     };
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut out = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match JournalRecord::parse_line(line) {
-            Some(rec) => out.push(rec),
-            None if i + 1 == lines.len() => break,
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt journal line {}: {line}", i + 1),
-                ))
+    let (mut records, mut durable, mut end) = (Vec::new(), 0, 0);
+    for (i, raw) in text.split_inclusive('\n').enumerate() {
+        end += raw.len();
+        let line = raw.trim();
+        if !line.is_empty() {
+            match parse(line) {
+                Some(record) => records.push(record),
+                None if end == text.len() => break,
+                None => {
+                    let msg = format!("corrupt {what} line {}: {line}", i + 1);
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+                }
             }
         }
+        durable = end + usize::from(!raw.ends_with('\n'));
     }
-    Ok(out)
+    Ok((records, durable as u64))
+}
+
+/// Opens the journal at `path` for appending after a [`replay`] that
+/// measured `durable_len`: a torn final line is cut off and a torn-off
+/// newline restored, so the next append starts a line of its own instead
+/// of fusing onto the partial one.
+///
+/// # Errors
+///
+/// I/O failures.
+pub fn reopen(path: &Path, durable_len: u64) -> io::Result<File> {
+    let mut file = open_append(path)?;
+    let len = file.metadata()?.len();
+    if len > durable_len {
+        file.set_len(durable_len)?;
+    } else if len < durable_len {
+        file.write_all(b"\n")?;
+    }
+    Ok(file)
+}
+
+/// Opens `path` for appending, creating it and its missing parent
+/// directories.
+fn open_append(path: &Path) -> io::Result<File> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    OpenOptions::new().create(true).append(true).open(path)
 }
 
 #[cfg(test)]
@@ -273,7 +327,7 @@ mod tests {
     #[test]
     fn write_then_load_recovers_everything() {
         let path = tmp_journal("roundtrip");
-        let mut w = JournalWriter::open(&path, 4).expect("open");
+        let (_, mut w) = JournalWriter::resume(&path, 4).expect("open");
         for k in 0..10 {
             w.append(&record(k)).expect("append");
         }
@@ -356,7 +410,7 @@ mod tests {
         // The probe leaves an empty journal: still a fresh start.
         assert!(load_journal(&path).expect("load").is_empty());
         // Validation of an existing journal does not disturb its records.
-        let mut w = JournalWriter::open(&path, 1).expect("open");
+        let (_, mut w) = JournalWriter::resume(&path, 1).expect("open");
         w.append(&record(3)).expect("append");
         w.sync().expect("sync");
         validate_journal_path(&path).expect("existing journal is writable");
@@ -367,7 +421,7 @@ mod tests {
     #[test]
     fn fsync_batches_report_flush_boundaries() {
         let path = tmp_journal("batch");
-        let mut w = JournalWriter::open(&path, 3).expect("open");
+        let (_, mut w) = JournalWriter::resume(&path, 3).expect("open");
         let flushed: Vec<bool> = (0..7)
             .map(|k| w.append(&record(k)).expect("append"))
             .collect();

@@ -27,6 +27,7 @@
 
 pub mod block;
 pub mod reg;
+pub mod rng;
 pub mod stream;
 pub mod uop;
 

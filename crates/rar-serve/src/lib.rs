@@ -9,10 +9,12 @@
 //! the same sweep cell cost one simulation.
 //!
 //! The queue journals submissions and terminal states to disk with the
-//! same batch-fsync JSONL discipline as rar-inject's campaign journal;
-//! a killed daemon restarted on the same data directory resumes every
-//! queued or running job. Fault-injection jobs additionally journal per
-//! injection, so resumption is injection-exact.
+//! same batch-fsync JSONL discipline as rar-inject's campaign journal,
+//! and both journals replay through one function
+//! (`rar_inject::journal::replay`); a killed daemon restarted on the same
+//! data directory resumes every queued or running job. Fault-injection
+//! jobs additionally journal per injection, so resumption is
+//! injection-exact.
 //!
 //! Modules:
 //! - [`http`] — minimal HTTP/1.1 request parsing and response writing

@@ -11,18 +11,20 @@
 //! recovered separately: sweep cells from the result cache, injections
 //! from their per-job campaign journals).
 //!
-//! Torn tails are tolerated exactly like the campaign journal: a
-//! malformed *final* line is a crash artifact and is skipped; malformed
+//! Both journals replay through [`rar_inject::journal::replay`]: a
+//! malformed *final* line is a crash artifact and is skipped (and cut off
+//! by [`rar_inject::journal::reopen`] before the next append); malformed
 //! lines anywhere else are corruption and refuse to load.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Condvar, Mutex};
 
 use rar_chaos::{retry_with_backoff, sites, RetryPolicy};
+use rar_inject::journal::{reopen, replay};
 use rar_telemetry::Counter;
 
 use rar_trace::jsonv;
@@ -189,11 +191,9 @@ impl JobQueue {
     ) -> io::Result<(JobQueue, Vec<QueuedJob>)> {
         let mut resumed: Vec<QueuedJob> = Vec::new();
         let mut next_id = 1;
-        let mut durable_len = 0;
+        let mut log = None;
         if let Some(path) = journal {
-            let (events, durable) = load_events(path)?;
-            durable_len = durable;
-            let mut live: Vec<QueuedJob> = Vec::new();
+            let (events, durable_len) = replay(path, "queue journal", parse_event)?;
             for event in events {
                 match event {
                     QueueEvent::Submitted(job) => {
@@ -201,37 +201,18 @@ impl JobQueue {
                         // Dedup by id (last wins): a crash between a
                         // durable append and the client seeing the ack can
                         // legitimately resubmit the same id after restart.
-                        live.retain(|j| j.id != job.id);
-                        live.push(job);
+                        resumed.retain(|j| j.id != job.id);
+                        resumed.push(job);
                     }
-                    QueueEvent::Terminal(id) => live.retain(|j| j.id != id),
+                    QueueEvent::Terminal(id) => resumed.retain(|j| j.id != id),
                 }
             }
-            resumed = live;
+            log = Some(EventLog {
+                file: reopen(path, durable_len)?,
+                pending: 0,
+                fsync_every: fsync_every.max(1),
+            });
         }
-        let log = match journal {
-            Some(path) => {
-                if let Some(parent) = path.parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent)?;
-                    }
-                }
-                let file = OpenOptions::new().create(true).append(true).open(path)?;
-                // Trim the torn tail a crash left behind, or the next
-                // append would fuse onto the partial line and turn a
-                // recoverable tear into mid-file corruption that a later
-                // replay rightly refuses to load.
-                if file.metadata()?.len() > durable_len {
-                    file.set_len(durable_len)?;
-                }
-                Some(EventLog {
-                    file,
-                    pending: 0,
-                    fsync_every: fsync_every.max(1),
-                })
-            }
-            None => None,
-        };
         let mut heap = BinaryHeap::new();
         for job in &resumed {
             heap.push(Entry {
@@ -402,49 +383,6 @@ fn parse_event(line: &str) -> Option<QueueEvent> {
         "completed" | "canceled" | "failed" => Some(QueueEvent::Terminal(id)),
         _ => None,
     }
-}
-
-/// Replays the journal, returning its events plus the byte length of
-/// the durable prefix — everything up to and including the last line
-/// that parsed. A torn final line (the crash signature) is tolerated
-/// and excluded from the durable length so [`JobQueue::open`] can trim
-/// it before appending; garbage anywhere earlier is refused.
-fn load_events(path: &Path) -> io::Result<(Vec<QueueEvent>, u64)> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(e),
-    };
-    let mut out = Vec::new();
-    let mut durable = 0u64;
-    let mut lineno = 0usize;
-    let mut start = 0usize;
-    while start < text.len() {
-        let end = text[start..]
-            .find('\n')
-            .map_or(text.len(), |rel| start + rel + 1);
-        let line = text[start..end].trim();
-        lineno += 1;
-        if line.is_empty() {
-            durable = end as u64;
-        } else {
-            match parse_event(line) {
-                Some(ev) => {
-                    out.push(ev);
-                    durable = end as u64;
-                }
-                None if end == text.len() => break,
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt queue journal line {lineno}: {line}"),
-                    ))
-                }
-            }
-        }
-        start = end;
-    }
-    Ok((out, durable))
 }
 
 #[cfg(test)]

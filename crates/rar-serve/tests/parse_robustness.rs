@@ -1,13 +1,18 @@
-//! Seeded robustness sweep over every JSON input the workspace reads back:
-//! job specs, disk-cache entries, queue-journal lines, inject-journal
-//! lines and run manifests. Each good document is truncated at every byte
-//! that loses content and has single bits flipped at random positions.
-//! Readers must answer with an error or a miss, never a panic, and never
-//! accept a document that is not valid JSON. A truncated cache entry must
-//! miss, so the cell is re-simulated instead of trusted.
+//! Seeded robustness sweep over every text input the workspace reads
+//! back: job specs, disk-cache entries, queue-journal lines, inject-journal
+//! lines, run manifests and `RAR_CHAOS` plans. Each good document is
+//! truncated at every byte that loses content and has single bits flipped
+//! at random positions. Readers must answer with an error or a miss, never
+//! a panic. JSON readers must never accept a document that is not valid
+//! JSON, and a truncated cache entry must miss, so the cell is
+//! re-simulated instead of trusted. A damaged chaos plan may still parse,
+//! but only to a schedule the fail-point fabric can run. HTTP request
+//! heads are not swept here: their parser reads from a socket.
 
+use rar_chaos::{sites, ChaosPlan};
 use rar_core::{FaultTarget, PlannedFault, Technique};
 use rar_inject::{JournalRecord, Outcome};
+use rar_isa::rng::XorShift64Star;
 use rar_serve::jobs::{field, u64_field};
 use rar_serve::{JobQueue, JobSpec};
 use rar_sim::dashboard::{check_manifests, render_dashboard};
@@ -60,18 +65,12 @@ fn mutants(good: &str, seed: u64) -> Vec<Mutant> {
             flip: None,
         })
         .collect();
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
+    let mut rng = XorShift64Star::new(seed | 1);
     for _ in 0..FLIPS {
-        let at = (next() % good.len() as u64) as usize;
+        let at = rng.below(good.len() as u64) as usize;
         let mut bytes = good.as_bytes().to_vec();
         let before = bytes[at];
-        bytes[at] ^= 1 << (next() % 7);
+        bytes[at] ^= 1 << rng.below(7);
         let after = bytes[at];
         out.push(Mutant {
             text: String::from_utf8(bytes).expect("ASCII stays UTF-8"),
@@ -224,4 +223,47 @@ fn damaged_manifests_fail_validation_and_still_render() {
         let gate = check_manifests(&named, Some(0), Some(0.0));
         assert!(!m.truncated || !gate.is_empty(), "gate passed {:?}", m.text);
     }
+}
+
+#[test]
+fn damaged_chaos_plans_parse_to_runnable_schedules_or_errors() {
+    // Every registered site, in all three entry forms, with offsets below
+    // and past their period (parsing reduces them modulo one_in).
+    let mut good = " seed=1234567 ".to_owned();
+    let mut expected = ChaosPlan::default().with_seed(1_234_567);
+    for (i, site) in (0u64..).zip(sites::ALL) {
+        let (one_in, offset) = (i + 1, 7 * i % (2 * i + 2));
+        let (entry, one_in, offset) = match i % 3 {
+            0 => (site.to_owned(), 1, 0),
+            1 => (format!("{site}:{one_in}"), one_in, 0),
+            _ => (format!("{site}:{one_in}:{offset}"), one_in, offset),
+        };
+        good.push_str(&format!(";{entry}"));
+        expected = expected.with_site(site, one_in, offset);
+    }
+    assert_eq!(ChaosPlan::parse(&good), Ok(expected));
+    let mut accepted = 0;
+    for m in mutants(&good, 7) {
+        let Ok(plan) = ChaosPlan::parse(&m.text) else {
+            continue;
+        };
+        accepted += 1;
+        for s in &plan.sites {
+            assert!(
+                sites::ALL.contains(&s.site.as_str()),
+                "unknown site {:?} accepted from {:?}",
+                s.site,
+                m.text
+            );
+            assert!(
+                s.one_in >= 1 && s.offset < s.one_in,
+                "unrunnable schedule {s:?} accepted from {:?}",
+                m.text
+            );
+        }
+    }
+    assert!(
+        accepted > 0,
+        "no damaged plan parsed: the sweep checked nothing"
+    );
 }

@@ -1,6 +1,7 @@
 //! Per-run simulation configuration.
 
 use rar_core::{CoreConfig, Technique};
+use rar_isa::rng;
 use rar_mem::MemConfig;
 use rar_verify::ConfigError;
 
@@ -127,20 +128,10 @@ impl SimConfig {
     /// fingerprint inside the entry and re-checking it on load.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        format!("{:016x}", fnv1a64(self.canonical().as_bytes()))
+        // The hash value is part of the cache-file contract: do not swap
+        // the function without bumping the canonical-form version line.
+        format!("{:016x}", rng::fnv1a64(self.canonical().as_bytes()))
     }
-}
-
-/// 64-bit FNV-1a over `bytes` — a small, well-specified hash whose value
-/// is part of the cache-file contract (do not swap the function without
-/// bumping the canonical-form version line).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Builder for [`SimConfig`].

@@ -17,15 +17,12 @@
 //! classified dead).
 
 use crate::liveness::ADDR_BITS;
-use rar_isa::{ArchReg, RegClass, Uop, UopKind};
+use rar_isa::{rng, ArchReg, RegClass, Uop, UopKind};
 use std::collections::HashMap;
 
-/// Deterministic register/memory initializer: splitmix64.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// Deterministic register/memory initializer: one SplitMix64 step.
+fn init(x: u64) -> u64 {
+    rng::mix(x.wrapping_add(rng::GOLDEN_GAMMA))
 }
 
 /// The observable outputs of one interpreted stream.
@@ -57,7 +54,7 @@ pub struct ValueFlip {
 pub fn interpret(uops: &[Uop], seed: u64, flip: Option<ValueFlip>) -> Observation {
     let mut regs = vec![0u64; ArchReg::total_count()];
     for (i, r) in regs.iter_mut().enumerate() {
-        *r = mix(seed ^ (i as u64) << 8);
+        *r = init(seed ^ (i as u64) << 8);
     }
     let mut memory: HashMap<u64, u64> = HashMap::new();
     let mut stores = Vec::new();
@@ -79,7 +76,7 @@ pub fn interpret(uops: &[Uop], seed: u64, flip: Option<ValueFlip>) -> Observatio
             UopKind::FpDiv => Some((f64::from_bits(s0) / f64::from_bits(s1 | (1 << 52))).to_bits()),
             UopKind::Load => {
                 let addr = s0.wrapping_add(s1) & addr_mask;
-                Some(*memory.entry(addr).or_insert_with(|| mix(addr)))
+                Some(*memory.entry(addr).or_insert_with(|| init(addr)))
             }
             UopKind::Store => {
                 let addr = s0.wrapping_add(s1) & addr_mask;

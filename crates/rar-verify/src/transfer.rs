@@ -166,6 +166,7 @@ pub const ALL_KINDS: [UopKind; 10] = UopKind::ALL;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rar_isa::rng::XorShift64Star;
 
     #[test]
     fn smear_down_covers_low_bits() {
@@ -218,17 +219,11 @@ mod tests {
         // its forward propagation avoids every live destination bit —
         // the soundness condition the injection campaign validates
         // empirically.
-        let mut rng = 0x1234_5678_9abc_def1u64;
-        let mut next = move || {
-            rng ^= rng >> 12;
-            rng ^= rng << 25;
-            rng ^= rng >> 27;
-            rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        let mut rng = XorShift64Star::new(0x1234_5678_9abc_def1);
         for kind in ALL_KINDS {
             for _ in 0..2_000 {
-                let live = next() & next(); // biased toward sparse masks
-                let poison = next() & next();
+                let live = rng.next_u64() & rng.next_u64(); // biased toward sparse masks
+                let poison = rng.next_u64() & rng.next_u64();
                 if poison & src_live_mask(kind, live) != 0 {
                     continue;
                 }

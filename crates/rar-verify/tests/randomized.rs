@@ -1,35 +1,19 @@
 //! Randomized property checks that run offline (no external crates): a
-//! deterministic xorshift generator produces uop streams and leak
+//! seeded xorshift64* stream (`rar_isa::rng`) produces uop streams and leak
 //! scenarios, and each property is checked over many seeds. The
 //! dead-value analysis is also checked against a definitional oracle on
 //! real workload prefixes.
 
 use rar_ace::{AceCounter, Structure};
+use rar_isa::rng::XorShift64Star;
 use rar_isa::{ArchReg, BranchClass, BranchInfo, RegClass, Uop, UopKind};
 use rar_verify::{analyze, interpret, src_live_mask, AceClass, Sanitizer, ValueFlip, ADDR_MASK};
 use rar_workloads::{all_benchmarks, extra_benchmarks, workload};
 
-/// xorshift64*: deterministic, seedable, good enough for test-case
-/// generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 /// A random but well-formed uop stream mixing ALU ops, loads, stores and
 /// branches over a small register pool (so overwrites actually happen).
 fn random_stream(seed: u64, len: usize) -> Vec<Uop> {
-    let mut rng = Rng(seed | 1);
+    let mut rng = XorShift64Star::new(seed | 1);
     let mut uops = Vec::with_capacity(len);
     for i in 0..len {
         let pc = i as u64 * 4;
@@ -60,7 +44,7 @@ fn random_stream(seed: u64, len: usize) -> Vec<Uop> {
 /// multiply/divide and floating-point classes the bit-transfer table
 /// distinguishes.
 fn rich_random_stream(seed: u64, len: usize) -> Vec<Uop> {
-    let mut rng = Rng(seed.wrapping_mul(0xA5A5_A5A5) | 1);
+    let mut rng = XorShift64Star::new(seed.wrapping_mul(0xA5A5_A5A5) | 1);
     let mut uops = Vec::with_capacity(len);
     for i in 0..len {
         let pc = i as u64 * 4;
@@ -257,7 +241,7 @@ fn flipping_predicted_dead_bits_never_changes_observables() {
         let uops = rich_random_stream(seed, 150);
         let r = analyze(&uops);
         let base = interpret(&uops, seed, None);
-        let mut rng = Rng(seed.wrapping_mul(0x0DD_B175) | 1);
+        let mut rng = XorShift64Star::new(seed.wrapping_mul(0x0DD_B175) | 1);
         for seq in 0..uops.len() {
             if uops[seq].dest().is_none() {
                 continue;
@@ -355,7 +339,7 @@ fn refined_abc_never_exceeds_unrefined_on_random_streams() {
         let uops = random_stream(seed, 200);
         let r = analyze(&uops);
         let mut ace = AceCounter::new();
-        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9));
+        let mut rng = XorShift64Star::new(seed.wrapping_mul(0x9E37_79B9));
         let mut t = 0u64;
         for seq in 0..r.horizon() {
             let len = 1 + rng.below(20);
@@ -396,7 +380,7 @@ fn classification_totals_partition_the_horizon() {
 #[test]
 fn sanitizer_catches_randomly_seeded_uop_leaks() {
     for seed in 1..=40u64 {
-        let mut rng = Rng(seed.wrapping_mul(0xDEAD_BEEF) | 1);
+        let mut rng = XorShift64Star::new(seed.wrapping_mul(0xDEAD_BEEF) | 1);
         let dispatched = 100 + rng.below(1_000);
         let committed = rng.below(dispatched);
         let squashed = rng.below(dispatched - committed + 1);
@@ -424,7 +408,7 @@ fn sanitizer_catches_randomly_seeded_uop_leaks() {
 #[test]
 fn sanitizer_catches_randomly_seeded_mshr_imbalance() {
     for seed in 1..=40u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x5EED) | 1);
+        let mut rng = XorShift64Star::new(seed.wrapping_mul(0x5EED) | 1);
         let released = rng.below(500);
         let resident = rng.below(20) as usize;
         let allocations = released + resident as u64;

@@ -12,37 +12,8 @@
 //! always a loop-closer or a data-dependent conditional.
 
 use crate::model::{AccessPattern, WorkloadClass, WorkloadParams};
+use rar_isa::rng::{derive_seed, SplitMix64};
 use rar_isa::{ArchReg, BranchClass, BranchInfo, Uop, UopKind};
-
-/// SplitMix64: tiny, fast, deterministic PRNG for trace generation.
-#[derive(Debug, Clone)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-}
 
 /// Behavioural role of one static program slot.
 #[derive(Debug, Clone, Copy)]
@@ -145,7 +116,7 @@ impl TraceGenerator {
         params
             .validate()
             .unwrap_or_else(|e| panic!("invalid workload {}: {e}", params.name));
-        let mut build_rng = SplitMix64::new(seed ^ hash_name(params.name));
+        let mut build_rng = SplitMix64::new(derive_seed(seed, params.name));
 
         let (chains, streams, stride, chase_frac) = match params.pattern {
             AccessPattern::Streaming { streams, stride } => (0, streams, stride, 0.0),
@@ -461,15 +432,6 @@ impl TraceGenerator {
         let last = self.segments.last().expect("at least one segment");
         last.jump_pc + 4 - CODE_BASE
     }
-}
-
-fn hash_name(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Iterator for TraceGenerator {

@@ -42,7 +42,7 @@
 //!    `endpoint_label()` (nothing silently lands in `other`), and every
 //!    `StallBucket` variant is named, listed in `ALL`, and rendered by
 //!    both the Prometheus (`record_into`) and JSON (`rar-sim json.rs`)
-//!    export paths plus the bench report.
+//!    export paths plus the dashboard's stall bars.
 //! 9. **chaos-coverage** — the chaos fail-point catalog stays honest:
 //!    every site registered in `rar_chaos::sites` is listed in
 //!    `sites::ALL`, documented by its dotted name in DESIGN.md, and
@@ -51,6 +51,10 @@
 //!     outside `rar_trace::jsonv`, non-test sources neither search text
 //!     for `"key":` needles nor escape JSON strings by hand (Prometheus
 //!     label values, a different format, keep `escape_label_value`).
+//! 11. **one-rng** — seeded randomness lives in `rar_isa::rng` alone: no
+//!     other source under `crates/`, `src/`, `tests/` or `examples/`,
+//!     tests included, carries an xorshift64* or SplitMix64 multiplier,
+//!     the FNV-1a prime, or an xorshift shift triple (12/25/27, 13/7/17).
 //!
 //! Each lint prints `ok`/`FAIL` per rule; any failure exits nonzero so CI
 //! can gate on it.
@@ -142,6 +146,14 @@ fn crate_sources(rel: &str) -> String {
         all.push('\n');
     }
     all
+}
+
+/// `path` relative to the workspace root, for messages and filters.
+fn relative(path: &Path) -> String {
+    path.strip_prefix(root())
+        .unwrap_or(path)
+        .display()
+        .to_string()
 }
 
 /// Every `.rs` file under `dir`, recursively, sorted.
@@ -682,11 +694,7 @@ fn lint_json_one_reader(lint: &mut Lint) {
     let mut scanned = 0;
     let mut offenders = Vec::new();
     for path in rust_files(&root().join("crates")) {
-        let rel = path
-            .strip_prefix(root())
-            .unwrap_or(&path)
-            .display()
-            .to_string();
+        let rel = relative(&path);
         if !rel.contains("/src/")
             || rel.starts_with("crates/xtask/")
             || rel.ends_with("rar-trace/src/jsonv.rs")
@@ -733,6 +741,70 @@ fn lint_json_one_reader(lint: &mut Lint) {
     );
 }
 
+/// Lint 11: one seeded-randomness module. A hand-rolled generator shows
+/// itself by a constant or by three `^=` shift steps on consecutive lines.
+fn lint_one_rng(lint: &mut Lint) {
+    println!("one-rng");
+    // The xorshift64* and SplitMix64 multipliers, and the FNV prime's
+    // tail, which also catches the prime typed with a zero too many.
+    const CONSTANTS: [&str; 4] = [
+        "2545f4914f6cdd1d",
+        "bf58476d1ce4e5b9",
+        "94d049bb133111eb",
+        "00000001b3",
+    ];
+    // xorshift64* and xorshift64.
+    const TRIPLES: [[(&str, u32); 3]; 2] = [
+        [(">>", 12), ("<<", 25), (">>", 27)],
+        [("<<", 13), (">>", 7), ("<<", 17)],
+    ];
+    let mut scanned = 0;
+    let mut copies = Vec::new();
+    for path in ["crates", "src", "tests", "examples"]
+        .iter()
+        .flat_map(|dir| rust_files(&root().join(dir)))
+    {
+        let rel = relative(&path);
+        if rel.starts_with("crates/xtask/") || rel == "crates/rar-isa/src/rng.rs" {
+            continue;
+        }
+        scanned += 1;
+        let src = std::fs::read_to_string(&path).expect("readable source");
+        let mut steps = Vec::new();
+        for (i, line) in src.lines().enumerate() {
+            let norm = line.to_ascii_lowercase().replace('_', "");
+            if let Some(c) = CONSTANTS.iter().find(|c| norm.contains(*c)) {
+                copies.push(format!("{rel}:{}: constant {c}", i + 1));
+            }
+            match xorshift_step(line) {
+                Some(step) => steps.push(step),
+                None => steps.clear(),
+            }
+            if TRIPLES.iter().any(|triple| steps.ends_with(triple)) {
+                copies.push(format!("{rel}:{}: xorshift shift triple", i - 1));
+            }
+        }
+    }
+    lint.check(
+        "one-rng",
+        scanned >= 100,
+        format!("{scanned} sources outside rar_isa::rng scanned"),
+    );
+    lint.check(
+        "one-rng",
+        copies.is_empty(),
+        format!("no PRNG, mixer or FNV-1a copies outside rar_isa::rng {copies:?}"),
+    );
+}
+
+/// The `(operator, amount)` of an xorshift step such as `x ^= x << 13;`.
+fn xorshift_step(line: &str) -> Option<(&str, u32)> {
+    let rhs = line.split_once("^=")?.1;
+    let op = ["<<", ">>"].into_iter().find(|op| rhs.contains(op))?;
+    let amount = rhs.split(op).nth(1)?.trim().trim_end_matches(';');
+    Some((op, amount.trim().parse().ok()?))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -748,6 +820,7 @@ fn main() -> ExitCode {
             lint_obs_coverage(&mut lint);
             lint_chaos_coverage(&mut lint);
             lint_json_one_reader(&mut lint);
+            lint_one_rng(&mut lint);
             if lint.failures.is_empty() {
                 println!("xtask lint: all checks passed");
                 ExitCode::SUCCESS
@@ -795,6 +868,7 @@ mod tests {
         lint_obs_coverage(&mut lint);
         lint_chaos_coverage(&mut lint);
         lint_json_one_reader(&mut lint);
+        lint_one_rng(&mut lint);
         assert!(lint.failures.is_empty(), "{:?}", lint.failures);
     }
 
