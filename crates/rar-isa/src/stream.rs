@@ -83,12 +83,15 @@ impl<I: Iterator<Item = Uop>> TraceWindow<I> {
     }
 
     fn fill_to(&mut self, seq: u64) {
-        while self.base + self.buf.len() as u64 <= seq {
+        while self.generated <= seq {
             let u = self
                 .inner
                 .next()
                 .expect("workload generators must produce an infinite stream");
-            self.buf.push_back(u);
+            // A micro-op released before it was generated is dropped.
+            if self.generated >= self.base {
+                self.buf.push_back(u);
+            }
             self.generated += 1;
         }
     }
@@ -106,16 +109,16 @@ impl<I: Iterator<Item = Uop>> UopSource for TraceWindow<I> {
     }
 
     fn release_before(&mut self, bound: u64) {
-        while self.base < bound && !self.buf.is_empty() {
-            self.buf.pop_front();
-            self.base += 1;
-        }
+        let buffered = bound.saturating_sub(self.base).min(self.buf.len() as u64);
+        self.buf.drain(..buffered as usize);
+        self.base = self.base.max(bound);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64Star;
     use crate::uop::UopKind;
 
     fn counting_stream() -> impl Iterator<Item = Uop> {
@@ -153,8 +156,10 @@ mod tests {
         let mut w = TraceWindow::new(counting_stream());
         let _ = w.get(5);
         w.release_before(1_000);
-        // Window empties; next get resumes from wherever generation is.
+        // The window empties, and the stream resumes at the bound.
         assert_eq!(w.buffered(), 0);
+        assert_eq!(w.get(1_000).pc(), 1_000);
+        assert_eq!(w.buffered(), 1);
     }
 
     #[test]
@@ -164,6 +169,72 @@ mod tests {
         let _ = w.get(10);
         w.release_before(5);
         let _ = w.get(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "was released")]
+    fn reading_released_ungenerated_sequence_panics() {
+        let mut w = TraceWindow::new(counting_stream());
+        let _ = w.get(3);
+        w.release_before(50);
+        let _ = w.get(20);
+    }
+
+    /// Seeded twin: random interleavings of reads (re-reads inside the
+    /// window, and runahead-style reads far past its tail) and releases
+    /// (inside the window and past the tail) against the same stream
+    /// collected into a `Vec`. Every read must match it, and every read
+    /// below a released bound must panic.
+    #[test]
+    fn seeded_interleavings_match_the_collected_stream() {
+        const LEN: u64 = 20_000;
+        let stream = || {
+            (0u64..).map(|i| match i % 3 {
+                0 => Uop::alu(4 * i, UopKind::IntAlu),
+                1 => Uop::load(4 * i, 64 * i, 8),
+                _ => Uop::alu(4 * i, UopKind::FpMul).with_dest(crate::ArchReg::int((i % 32) as u8)),
+            })
+        };
+        let reference: Vec<Uop> = stream().take(LEN as usize).collect();
+        let quiet = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for seed in 1..=24 {
+            let mut rng = XorShift64Star::new(seed);
+            let mut w = TraceWindow::new(stream());
+            // Highest sequence read so far plus one, and highest bound.
+            let (mut tail, mut released) = (0u64, 0u64);
+            while tail < LEN - 2_000 {
+                match rng.below(8) {
+                    // Re-read anywhere in the live window.
+                    0..=3 if tail > released => {
+                        let seq = released + rng.below(tail - released);
+                        assert_eq!(w.get(seq), &reference[seq as usize], "seed {seed}");
+                    }
+                    // Read at or past the tail, up to far ahead.
+                    0..=5 => {
+                        let reach = if rng.below(16) == 0 { 1_500 } else { 8 };
+                        let seq = tail.max(released) + rng.below(reach);
+                        assert_eq!(w.get(seq), &reference[seq as usize], "seed {seed}");
+                        tail = tail.max(seq + 1);
+                    }
+                    // Release: usually inside the window, sometimes past it.
+                    6 => {
+                        let bound = released + rng.below(tail.saturating_sub(released) + 64);
+                        w.release_before(bound);
+                        released = released.max(bound);
+                    }
+                    _ if released > 0 => {
+                        let seq = rng.below(released);
+                        let mut probe = w.clone();
+                        let read = std::panic::catch_unwind(move || probe.get(seq).clone());
+                        assert!(read.is_err(), "seed {seed}: read {seq} below {released}");
+                    }
+                    _ => {}
+                }
+                assert_eq!(w.buffered() as u64, tail.saturating_sub(released));
+            }
+        }
+        std::panic::set_hook(quiet);
     }
 
     #[test]

@@ -61,7 +61,13 @@ impl From<io::Error> for RequestError {
 
 /// Reads one request from `stream` (which stays usable for the response).
 pub fn read_request(stream: &TcpStream) -> Result<Request, RequestError> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    parse_request(BufReader::new(stream.try_clone()?))
+}
+
+/// Parses one request (request line, headers, body) from `reader` under
+/// the limits above. [`read_request`] feeds it a socket; tests feed it
+/// bytes.
+pub fn parse_request(mut reader: impl BufRead) -> Result<Request, RequestError> {
     let mut line = String::new();
     reader
         .by_ref()
@@ -88,12 +94,14 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, RequestError> {
             .by_ref()
             .take(MAX_HEADER_BYTES as u64 + 1)
             .read_line(&mut header)?;
-        if n == 0 {
-            return Err(RequestError::Malformed("truncated headers".to_owned()));
-        }
         header_bytes += n;
         if header_bytes > MAX_HEADER_BYTES {
             return Err(RequestError::TooLarge("headers".to_owned()));
+        }
+        // Below the limit, only the end of input stops a line short of
+        // its newline: the head was cut off.
+        if !header.ends_with('\n') {
+            return Err(RequestError::Malformed("truncated headers".to_owned()));
         }
         let header = header.trim();
         if header.is_empty() {

@@ -1,18 +1,21 @@
 //! Seeded robustness sweep over every text input the workspace reads
 //! back: job specs, disk-cache entries, queue-journal lines, inject-journal
-//! lines, run manifests and `RAR_CHAOS` plans. Each good document is
-//! truncated at every byte that loses content and has single bits flipped
-//! at random positions. Readers must answer with an error or a miss, never
-//! a panic. JSON readers must never accept a document that is not valid
-//! JSON, and a truncated cache entry must miss, so the cell is
-//! re-simulated instead of trusted. A damaged chaos plan may still parse,
-//! but only to a schedule the fail-point fabric can run. HTTP request
-//! heads are not swept here: their parser reads from a socket.
+//! lines, run manifests, `RAR_CHAOS` plans and HTTP requests. Each good
+//! document is truncated at every byte that loses content and has single
+//! bits flipped at random positions. Readers must answer with an error or
+//! a miss, never a panic. JSON readers must never accept a document that
+//! is not valid JSON, and a truncated cache entry must miss, so the cell
+//! is re-simulated instead of trusted. A damaged chaos plan may still
+//! parse, but only to a schedule the fail-point fabric can run, and a
+//! damaged request only to what its own head says.
 
 use rar_chaos::{sites, ChaosPlan};
 use rar_core::{FaultTarget, PlannedFault, Technique};
 use rar_inject::{JournalRecord, Outcome};
 use rar_isa::rng::XorShift64Star;
+use rar_serve::http::{
+    parse_request, Request, RequestError, MAX_BODY_BYTES, MAX_HEADER_BYTES, MAX_REQUEST_LINE,
+};
 use rar_serve::jobs::{field, u64_field};
 use rar_serve::{JobQueue, JobSpec};
 use rar_sim::dashboard::{check_manifests, render_dashboard};
@@ -266,4 +269,101 @@ fn damaged_chaos_plans_parse_to_runnable_schedules_or_errors() {
         accepted > 0,
         "no damaged plan parsed: the sweep checked nothing"
     );
+}
+
+/// The request `text` holds, restated on string slices: the request
+/// line's first two words, newline-terminated header lines up to the
+/// first one that trims to nothing, and exactly the last
+/// `Content-Length` bytes after it. `None` where the head or the body is
+/// cut short.
+fn reference_request(text: &str) -> Option<Request> {
+    let mut lines = text.split_inclusive('\n');
+    let first = lines.next()?;
+    let mut words = first.split_whitespace();
+    let (method, path) = (words.next()?.to_owned(), words.next()?.to_owned());
+    let mut head = first.len();
+    let mut length = 0;
+    loop {
+        let line = lines.next().filter(|l| l.ends_with('\n'))?;
+        head += line.len();
+        let line = line.trim();
+        if line.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse().ok()?;
+            }
+        }
+    }
+    let body = text.get(head..head.checked_add(length)?)?.to_owned();
+    Some(Request { method, path, body })
+}
+
+#[test]
+fn damaged_request_heads_are_rejected_or_well_formed() {
+    let requests = [
+        "GET /v1/jobs/17 HTTP/1.1\r\nHost: 127.0.0.1:7878\r\nAccept: */*\r\n\r\n",
+        "POST /v1/jobs HTTP/1.1\r\nHost: 127.0.0.1:7878\r\nContent-Type: application/json\r\n\
+         Content-Length: 43\r\n\r\n{\"kind\":\"single\",\"workload\":\"mcf\",\"seed\":3}",
+    ];
+    let (mut accepted, mut rejected) = (0, 0);
+    for (seed, good) in (11..).zip(requests) {
+        let parsed = parse_request(good.as_bytes()).expect("good request parses");
+        assert!(good.ends_with(&format!("\r\n\r\n{}", parsed.body)));
+        assert_eq!(Some(parsed), reference_request(good));
+        for m in mutants(good, seed) {
+            let Ok(req) = parse_request(m.text.as_bytes()) else {
+                rejected += 1;
+                assert_eq!(reference_request(&m.text), None, "rejected {:?}", m.text);
+                continue;
+            };
+            accepted += 1;
+            assert!(!m.truncated, "accepted a truncated request {:?}", m.text);
+            assert!(
+                !req.method.is_empty() && !req.path.is_empty(),
+                "no method or path in {req:?}"
+            );
+            // The body is exactly what the head's Content-Length claims.
+            assert_eq!(Some(req), reference_request(&m.text), "from {:?}", m.text);
+        }
+    }
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
+    // Every proper prefix is truncated, cuts inside the final line
+    // break included.
+    for good in requests {
+        for cut in 0..good.len() {
+            let text = &good[..cut];
+            assert!(parse_request(text.as_bytes()).is_err(), "accepted {text:?}");
+        }
+    }
+
+    // The limits fire before anything proportional to them is read, and
+    // not one byte early.
+    let line = |len: usize| format!("GET /{} HTTP/1.1\r\n", "a".repeat(len - 16));
+    assert_eq!(line(MAX_REQUEST_LINE).len(), MAX_REQUEST_LINE);
+    let at_limit = format!("{}\r\n", line(MAX_REQUEST_LINE));
+    assert!(parse_request(at_limit.as_bytes()).is_ok());
+    let over = format!("{}\r\n", line(MAX_REQUEST_LINE + 1));
+    assert!(matches!(
+        parse_request(over.as_bytes()),
+        Err(RequestError::TooLarge(_))
+    ));
+    let header = format!("X-Pad: {}\r\n", "b".repeat(MAX_HEADER_BYTES));
+    let fat = format!("GET / HTTP/1.1\r\n{header}\r\n");
+    assert!(matches!(
+        parse_request(fat.as_bytes()),
+        Err(RequestError::TooLarge(_))
+    ));
+    let huge = format!(
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    );
+    assert!(matches!(
+        parse_request(huge.as_bytes()),
+        Err(RequestError::TooLarge(_))
+    ));
 }

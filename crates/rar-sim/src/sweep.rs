@@ -5,12 +5,16 @@
 //! three mechanisms, each independently sound:
 //!
 //! 1. **Artifact memoization.** A sweep grid re-uses one (workload, seed)
-//!    stream across many techniques and cores. The session keeps every
-//!    generated [`TracePrefix`] and every [`rar_verify`] dead-value
-//!    refinement in `Arc`-shared stores, so each trace is generated — and
-//!    each refinement computed — at most once per session, no matter how
-//!    many cells consume it. Sound because both are pure functions of
-//!    (workload, seed, horizon).
+//!    stream across many techniques and cores. The session keeps generated
+//!    [`TracePrefix`]es and [`rar_verify`] dead-value refinements in an
+//!    `Arc`-shared store, so each trace is generated — and each
+//!    refinement computed — at most once while it stays resident, no
+//!    matter how many cells consume it. The store holds at most 32 MiB of
+//!    artifact heap and evicts least-recently-used entries past that, so
+//!    a long-running session (the serve daemon) stays flat however many
+//!    unique seeds it sees; `rar_sweep_artifact_bytes` reports what is
+//!    resident. Sound because both are pure functions of (workload,
+//!    seed, horizon): an evicted key regenerates byte-identically.
 //! 2. **On-disk result cache.** With [`SweepSession::with_disk_cache`],
 //!    finished cells are persisted through [`DiskCache`] keyed by
 //!    [`SimConfig::fingerprint`]; warm reruns replay bit-identically
@@ -168,24 +172,101 @@ impl From<ConfigError> for RunError {
     }
 }
 
-/// Session-lifetime store of memoized sweep artifacts.
+/// Resident-byte budget of a session's artifact store. The Fig. 1 grid's
+/// 15 (workload, seed) keys take 32.0 MB at a 25,016-uop horizon, so that
+/// sweep never evicts; a key at the serve benchmark's 5,016-uop horizon
+/// takes about 575 KB, so a daemon fed unique seeds keeps its ~58 most
+/// recently used.
+const ARTIFACT_BUDGET_BYTES: usize = 32 << 20;
+
+/// One memoized artifact with its heap footprint and the store clock at
+/// its last use.
+#[derive(Debug)]
+struct Resident<T> {
+    value: T,
+    bytes: usize,
+    used: u64,
+}
+
+/// The memo maps behind [`ArtifactStore`]'s lock.
 #[derive(Debug, Default)]
-struct ArtifactStore {
+struct Memo {
     /// Longest generated prefix per (workload, seed).
-    traces: Mutex<HashMap<(String, u64), Arc<TracePrefix>>>,
+    traces: HashMap<(String, u64), Resident<Arc<TracePrefix>>>,
     /// Refinements per (workload, seed, horizon) — the horizon is part of
     /// the key because the analysis classifies exactly that many uops.
-    refinements: Mutex<HashMap<(String, u64, usize), AceRefinement>>,
+    refinements: HashMap<(String, u64, usize), Resident<AceRefinement>>,
+    /// Ticks once per lookup, so every resident entry has a distinct
+    /// `used` stamp and the smallest is the least recently used.
+    clock: u64,
+    /// Sum of `bytes` over both maps.
+    bytes: usize,
+}
+
+impl Memo {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Evicts least-recently-used entries, traces and refinements alike,
+    /// until the resident bytes fit `budget`. An entry larger than the
+    /// whole budget goes too: the cell that made it holds its own `Arc`.
+    fn evict_to(&mut self, budget: usize) {
+        while self.bytes > budget {
+            let traces = self.traces.values().map(|r| r.used);
+            let refinements = self.refinements.values().map(|r| r.used);
+            let Some(oldest) = traces.chain(refinements).min() else {
+                break;
+            };
+            self.bytes -=
+                evict_used(&mut self.traces, oldest) + evict_used(&mut self.refinements, oldest);
+        }
+    }
+}
+
+/// Removes the entry of `map` stamped `used`, returning its bytes (0 if
+/// none is).
+fn evict_used<K, T>(map: &mut HashMap<K, Resident<T>>, used: u64) -> usize {
+    let mut freed = 0;
+    map.retain(|_, r| {
+        let keep = r.used != used;
+        if !keep {
+            freed = r.bytes;
+        }
+        keep
+    });
+    freed
+}
+
+/// Session-lifetime store of memoized sweep artifacts, bounded by a byte
+/// budget with least-recently-used eviction.
+#[derive(Debug)]
+struct ArtifactStore {
+    budget: usize,
+    memo: Mutex<Memo>,
 }
 
 impl ArtifactStore {
-    /// The run artifacts for `cfg`, computed at most once per key.
+    fn new(budget: usize) -> Self {
+        ArtifactStore {
+            budget,
+            memo: Mutex::new(Memo::default()),
+        }
+    }
+
+    /// The run artifacts for `cfg`, computed at most once per key while
+    /// the key stays resident.
     ///
     /// Generation happens *under the store lock*: concurrent cells that
     /// need the same trace wait for one generation instead of racing to
     /// duplicate it (the memoization guarantee). Trace generation and
     /// liveness analysis are orders of magnitude cheaper than the
-    /// simulation itself, so the serialization is immaterial.
+    /// simulation itself, so the serialization is immaterial. Each insert
+    /// that takes the store past its budget evicts least-recently-used
+    /// entries. A running cell keeps what it uses alive through its own
+    /// `Arc`s, and an evicted key regenerates byte-identically, since
+    /// every artifact is a pure function of its key.
     fn artifacts_for<P: Profiler>(
         &self,
         cfg: &SimConfig,
@@ -193,51 +274,65 @@ impl ArtifactStore {
         profiler: &P,
     ) -> RunArtifacts {
         let horizon = refinement_horizon(cfg);
+        let mut memo = self.memo.lock().expect("artifact store lock");
+        let now = memo.tick();
         let trace_key = (cfg.workload.clone(), cfg.seed);
-        let prefix = {
-            let mut traces = self.traces.lock().expect("trace store lock");
-            match traces.get(&trace_key) {
-                Some(p) if p.len() >= horizon => {
-                    counters.trace_hits.inc();
-                    Arc::clone(p)
-                }
-                Some(p) => {
-                    // A shorter prefix exists: grow it from its stored
-                    // generator state — the already-generated uops are
-                    // not regenerated.
-                    counters.trace_misses.inc();
-                    let scope = ScopeTimer::start(profiler, Phase::TraceGen);
-                    let grown = Arc::new(p.extended(horizon));
-                    drop(scope);
-                    traces.insert(trace_key, Arc::clone(&grown));
-                    grown
-                }
-                None => {
-                    counters.trace_misses.inc();
-                    let spec = workload(&cfg.workload).expect("validated workload exists");
-                    let scope = ScopeTimer::start(profiler, Phase::TraceGen);
-                    let fresh = Arc::new(TracePrefix::generate(&spec, cfg.seed, horizon));
-                    drop(scope);
-                    traces.insert(trace_key, Arc::clone(&fresh));
-                    fresh
-                }
+        let prefix = match memo.traces.get_mut(&trace_key) {
+            Some(p) if p.value.len() >= horizon => {
+                counters.trace_hits.inc();
+                p.used = now;
+                Arc::clone(&p.value)
             }
-        };
-        let ref_key = (cfg.workload.clone(), cfg.seed, horizon);
-        let refinement = {
-            let mut refinements = self.refinements.lock().expect("refinement store lock");
-            if let Some(r) = refinements.get(&ref_key) {
-                counters.refinement_hits.inc();
-                r.clone() // Arc-backed: O(1)
-            } else {
-                counters.refinement_misses.inc();
-                let scope = ScopeTimer::start(profiler, Phase::Liveness);
-                let fresh = rar_verify::analyze(&prefix.uops()[..horizon]);
+            stored => {
+                counters.trace_misses.inc();
+                let scope = ScopeTimer::start(profiler, Phase::TraceGen);
+                // A shorter prefix grows from its stored generator state:
+                // the already-generated uops are not regenerated.
+                let fresh = Arc::new(match stored {
+                    Some(p) => p.value.extended(horizon),
+                    None => {
+                        let spec = workload(&cfg.workload).expect("validated workload exists");
+                        TracePrefix::generate(&spec, cfg.seed, horizon)
+                    }
+                });
                 drop(scope);
-                refinements.insert(ref_key, fresh.clone());
+                let bytes = fresh.heap_bytes();
+                let entry = Resident {
+                    value: Arc::clone(&fresh),
+                    bytes,
+                    used: now,
+                };
+                if let Some(old) = memo.traces.insert(trace_key, entry) {
+                    memo.bytes -= old.bytes;
+                }
+                memo.bytes += bytes;
+                memo.evict_to(self.budget);
                 fresh
             }
         };
+        let now = memo.tick();
+        let ref_key = (cfg.workload.clone(), cfg.seed, horizon);
+        let refinement = if let Some(r) = memo.refinements.get_mut(&ref_key) {
+            counters.refinement_hits.inc();
+            r.used = now;
+            r.value.clone() // Arc-backed: O(1)
+        } else {
+            counters.refinement_misses.inc();
+            let scope = ScopeTimer::start(profiler, Phase::Liveness);
+            let fresh = rar_verify::analyze(&prefix.uops()[..horizon]);
+            drop(scope);
+            let bytes = fresh.heap_bytes();
+            let entry = Resident {
+                value: fresh.clone(),
+                bytes,
+                used: now,
+            };
+            memo.refinements.insert(ref_key, entry);
+            memo.bytes += bytes;
+            memo.evict_to(self.budget);
+            fresh
+        };
+        counters.artifact_bytes.set(memo.bytes as f64);
         RunArtifacts { prefix, refinement }
     }
 }
@@ -265,6 +360,7 @@ struct SweepCounters {
     canceled: Counter,
     breaker_state: Gauge,
     breaker_trips: Counter,
+    artifact_bytes: Gauge,
 }
 
 impl SweepCounters {
@@ -289,6 +385,7 @@ impl SweepCounters {
             canceled: registry.counter(names::SWEEP_CELLS_CANCELED),
             breaker_state: registry.gauge(names::SWEEP_CACHE_BREAKER_STATE),
             breaker_trips: registry.counter(names::SWEEP_CACHE_BREAKER_TRIPS),
+            artifact_bytes: registry.gauge(names::SWEEP_ARTIFACT_BYTES),
         }
     }
 }
@@ -497,7 +594,7 @@ impl<P: Profiler> SweepSession<P> {
             cache,
             threads: None,
             watchdog: Watchdog::default(),
-            artifacts: ArtifactStore::default(),
+            artifacts: ArtifactStore::new(ARTIFACT_BUDGET_BYTES),
             registry,
             counters,
             profiler,
@@ -585,6 +682,15 @@ impl<P: Profiler> SweepSession<P> {
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
+        self
+    }
+
+    /// Swaps in an empty artifact store of `budget` bytes, so tests can
+    /// force eviction at test sizes. Sessions always use
+    /// [`ARTIFACT_BUDGET_BYTES`].
+    #[cfg(test)]
+    fn artifact_budget(mut self, budget: usize) -> Self {
+        self.artifacts = ArtifactStore::new(budget);
         self
     }
 
@@ -1120,6 +1226,7 @@ impl<P: Profiler> SweepSession<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use rar_core::{StallBucket, Technique};
     use rar_telemetry::WallProfiler;
     use rar_trace::jsonv::{self, Value};
@@ -1195,6 +1302,97 @@ mod tests {
         assert_eq!(s.trace_memo_misses, 2);
         // Different horizons are distinct refinement keys.
         assert_eq!(s.refinement_memo_misses, 2);
+    }
+
+    /// A small cell of `workload` at `seed`.
+    fn seeded(workload: &str, technique: Technique, seed: u64) -> SimConfig {
+        SimConfig::builder()
+            .workload(workload)
+            .technique(technique)
+            .seed(seed)
+            .warmup(100)
+            .instructions(400)
+            .build()
+    }
+
+    /// What one key of `cfg` costs the store: its trace and refinement.
+    fn key_bytes(cfg: &SimConfig) -> usize {
+        let spec = workload(&cfg.workload).expect("known workload");
+        let prefix = TracePrefix::generate(&spec, cfg.seed, refinement_horizon(cfg));
+        prefix.heap_bytes() + rar_verify::analyze(prefix.uops()).heap_bytes()
+    }
+
+    /// The session's published `rar_sweep_artifact_bytes` gauge.
+    fn artifact_bytes(session: &SweepSession) -> usize {
+        session.registry().gauge(names::SWEEP_ARTIFACT_BYTES).get() as usize
+    }
+
+    #[test]
+    fn bounded_store_stays_within_budget_across_unique_seeds() {
+        // Room for about two keys: from the third seed on, every key
+        // evicts an older one.
+        let budget = 2 * key_bytes(&seeded("mcf", Technique::Ooo, 1)) + 1_000;
+        let session = SweepSession::new().artifact_budget(budget).threads(2);
+        for seed in 1..=10 {
+            for (w, t) in [("mcf", Technique::Ooo), ("lbm", Technique::Rar)] {
+                let cfg = seeded(w, t, seed);
+                let got = session.run(&cfg).unwrap();
+                let resident = artifact_bytes(&session);
+                assert!(
+                    resident <= budget,
+                    "{resident} > {budget} after {w} seed {seed}"
+                );
+                assert!(resident > 0);
+                assert_eq!(got, Simulation::try_run(&cfg).unwrap(), "{w} seed {seed}");
+            }
+        }
+        let s = session.stats();
+        assert_eq!((s.trace_memo_misses, s.trace_memo_hits), (20, 0));
+        assert_eq!((s.refinement_memo_misses, s.refinement_memo_hits), (20, 0));
+        // Concurrent cells evict under the same bound.
+        let grid: Vec<SimConfig> = (11..=14)
+            .flat_map(|seed| [Technique::Ooo, Technique::Rar].map(|t| seeded("milc", t, seed)))
+            .collect();
+        let swept = session.run_all(&grid);
+        assert!(artifact_bytes(&session) <= budget);
+        for (cfg, got) in grid.iter().zip(swept) {
+            assert_eq!(got, Some(Simulation::try_run(cfg).unwrap()));
+        }
+    }
+
+    #[test]
+    fn an_evicted_key_counts_a_miss_and_regenerates_identical_bytes() {
+        let a = seeded("mcf", Technique::Rar, 1);
+        let b = seeded("milc", Technique::Rar, 1);
+        // Room for one key: running `b` evicts `a`.
+        let session = SweepSession::new().artifact_budget(key_bytes(&a).max(key_bytes(&b)));
+        let first = json::to_json(&session.run(&a).unwrap());
+        session.run(&b).unwrap();
+        let again = json::to_json(&session.run(&a).unwrap());
+        let s = session.stats();
+        assert_eq!((s.trace_memo_misses, s.trace_memo_hits), (3, 0));
+        assert_eq!((s.refinement_memo_misses, s.refinement_memo_hits), (3, 0));
+        assert_eq!(first, again);
+        assert_eq!(first, json::to_json(&Simulation::try_run(&a).unwrap()));
+    }
+
+    #[test]
+    fn eviction_takes_the_least_recently_used_key() {
+        let [a, b, c] = [1, 2, 3].map(|seed| seeded("mcf", Technique::Ooo, seed));
+        // Room for two keys, with slack for seeds that differ by a few
+        // bytes, but not for three.
+        let budget = key_bytes(&a) + key_bytes(&b) + key_bytes(&c) / 2;
+        let session = SweepSession::new().artifact_budget(budget);
+        for cfg in [&a, &b, &a, &c] {
+            session.run(cfg).unwrap();
+        }
+        // `a` was used after `b`, so `c` evicted `b`.
+        let s = session.stats();
+        assert_eq!((s.trace_memo_misses, s.trace_memo_hits), (3, 1));
+        session.run(&a).unwrap();
+        assert_eq!(session.stats().trace_memo_hits, 2);
+        session.run(&b).unwrap();
+        assert_eq!(session.stats().trace_memo_misses, 4);
     }
 
     #[test]

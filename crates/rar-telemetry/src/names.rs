@@ -54,9 +54,12 @@ pub const SWEEP_CACHE_BREAKER_STATE: &str = "rar_sweep_cache_breaker_state";
 /// Times the disk-cache circuit breaker tripped open after exhausted
 /// retries.
 pub const SWEEP_CACHE_BREAKER_TRIPS: &str = "rar_sweep_cache_breaker_trips_total";
+/// Heap bytes of the trace prefixes and refinements the session's
+/// artifact store keeps resident (gauge; bounded by the store's budget).
+pub const SWEEP_ARTIFACT_BYTES: &str = "rar_sweep_artifact_bytes";
 
 /// Every sweep-engine name above, for exhaustive registration and tests.
-pub const ALL: [&str; 19] = [
+pub const ALL: [&str; 20] = [
     SWEEP_CELLS_SIMULATED,
     SWEEP_CACHE_HITS,
     SWEEP_CELLS_REJECTED,
@@ -76,6 +79,7 @@ pub const ALL: [&str; 19] = [
     SWEEP_CELLS_CANCELED,
     SWEEP_CACHE_BREAKER_STATE,
     SWEEP_CACHE_BREAKER_TRIPS,
+    SWEEP_ARTIFACT_BYTES,
 ];
 
 /// Fault injections executed (every outcome).

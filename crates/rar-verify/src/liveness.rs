@@ -173,6 +173,14 @@ impl AceRefinement {
         self.classes.len() as u64
     }
 
+    /// Heap bytes of the two shared tables, each with its `Arc`'s two
+    /// reference counts. Clones share the tables and add nothing.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        const ARC_COUNTS: usize = 2 * size_of::<usize>();
+        2 * ARC_COUNTS + size_of_val(&*self.classes) + size_of_val(&*self.masks)
+    }
+
     /// Classification counts over the analyzed horizon.
     #[must_use]
     pub fn summary(&self) -> RefinementSummary {

@@ -432,6 +432,23 @@ impl TraceGenerator {
         let last = self.segments.last().expect("at least one segment");
         last.jump_pc + 4 - CODE_BASE
     }
+
+    /// Heap bytes the generator holds: the static program and every
+    /// buffer, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let slots: usize = self
+            .segments
+            .iter()
+            .map(|s| s.slots.capacity() * size_of::<Slot>())
+            .sum();
+        self.segments.capacity() * size_of::<Segment>()
+            + slots
+            + (self.chain_pos.capacity()
+                + self.stream_pos.capacity()
+                + self.recent_chase.capacity())
+                * size_of::<u64>()
+            + self.pending.capacity() * size_of::<Uop>()
+    }
 }
 
 impl Iterator for TraceGenerator {

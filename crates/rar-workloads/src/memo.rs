@@ -76,6 +76,14 @@ impl TracePrefix {
         next
     }
 
+    /// Heap bytes this prefix holds: the micro-op buffer by capacity plus
+    /// the continuation generator. This is what a memo of prefixes pays
+    /// per entry; `len() * size_of::<Uop>()` is only a lower bound.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.uops.capacity() * size_of::<Uop>() + self.cont.heap_bytes()
+    }
+
     /// Benchmark name this prefix was generated from.
     #[must_use]
     pub fn workload(&self) -> &'static str {
@@ -191,6 +199,25 @@ mod tests {
         assert_eq!(long.uops(), fresh.uops());
         // Extending to a smaller/equal length is a no-op.
         assert_eq!(long.extended(10).len(), 400);
+    }
+
+    #[test]
+    fn heap_bytes_covers_the_uops_and_grows_with_the_prefix() {
+        let spec = workload("mcf").unwrap();
+        let short = TracePrefix::generate(&spec, 4, 1_000);
+        let floor = short.len() * size_of::<Uop>();
+        // The continuation generator owns heap of its own on top.
+        assert!(
+            short.heap_bytes() > floor,
+            "{} <= {floor}",
+            short.heap_bytes()
+        );
+        let long = short.extended(3_000);
+        assert!(long.heap_bytes() >= long.len() * size_of::<Uop>());
+        assert!(long.heap_bytes() > short.heap_bytes());
+        // A copy holds no more than the original: clones drop spare
+        // capacity.
+        assert!(long.extended(10).heap_bytes() <= long.heap_bytes());
     }
 
     #[test]
