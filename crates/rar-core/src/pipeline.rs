@@ -361,22 +361,11 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
         self.refinement = refinement;
     }
 
-    /// The installed dead-value refinement (empty by default).
-    #[must_use]
-    pub fn ace_refinement(&self) -> &AceRefinement {
-        &self.refinement
-    }
-
     /// Stalling-slice-table telemetry: (resident PCs, hits, lookups).
     #[must_use]
     pub fn sst_stats(&self) -> (usize, u64, u64) {
         let (hits, lookups) = self.sst.hit_stats();
         (self.sst.len(), hits, lookups)
-    }
-
-    /// Whether `pc` is currently a known stalling-slice member (debug).
-    pub fn sst_contains(&mut self, pc: u64) -> bool {
-        self.sst.contains(pc)
     }
 
     /// Reliability summary for the elapsed run.
@@ -431,7 +420,8 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     }
 
     /// Runs until `n` instructions have been committed since the last
-    /// measurement reset.
+    /// measurement reset: [`Core::run_budgeted`] with a budget of
+    /// `max(1000 n, 10^6)` cycles and no deadline.
     ///
     /// Cycles in which no stage can act are skipped rather than ticked,
     /// with every per-cycle tally credited as ticking would credit it, so
@@ -443,18 +433,13 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     /// Panics if the core wedges: `n` have not committed after
     /// `max(1000 n, 10^6)` cycles.
     pub fn run_until_committed(&mut self, n: u64) {
-        let limit_cycles = self.now + n.saturating_mul(1_000).max(1_000_000);
-        while self.stats.committed < n {
-            if let Some(wait) = self.tick() {
-                self.skip_idle(wait, limit_cycles);
-            }
-            assert!(
-                self.now < limit_cycles,
-                "simulation wedged: {} committed of {n} after {} cycles",
-                self.stats.committed,
-                self.now
-            );
-        }
+        let verdict = self.run_budgeted(n, n.saturating_mul(1_000).max(1_000_000), None);
+        assert!(
+            verdict == RunVerdict::Completed,
+            "simulation wedged: {} committed of {n} after {} cycles",
+            self.stats.committed,
+            self.now
+        );
     }
 
     /// Runs until `n` instructions have been committed since the last
@@ -462,9 +447,8 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     /// wall-clock deadline. Unlike [`Core::run_until_committed`] a wedged
     /// simulation returns a verdict instead of panicking — fault-injection
     /// campaigns and sweep watchdogs classify the exhausted budget as a
-    /// hang (DUE) or a timeout. Idle cycles are skipped as in
-    /// [`Core::run_until_committed`], never past the budget, so a verdict
-    /// lands on the cycle ticking would reach.
+    /// hang (DUE) or a timeout. Idle cycles are skipped, never past the
+    /// budget, so a verdict lands on the cycle ticking would reach.
     pub fn run_budgeted(
         &mut self,
         n: u64,
@@ -1994,13 +1978,6 @@ impl<S: UopSource, T: TraceSink> Core<S, T> {
     #[must_use]
     pub fn commit_digest(&self) -> u64 {
         self.digest
-    }
-
-    /// Poisoned physical registers still live (latent faults: corrupted
-    /// architectural state that has not reached an observable point).
-    #[must_use]
-    pub fn latent_poison(&self) -> u64 {
-        self.poisoned_regs.iter().filter(|&&p| p != 0).count() as u64
     }
 
     fn update_commit_digest(&mut self, e: &Entry) {

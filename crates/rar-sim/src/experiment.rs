@@ -109,28 +109,6 @@ impl ExperimentOptions {
     }
 }
 
-fn run_one<P: Profiler>(
-    workload: &str,
-    technique: Technique,
-    core: CoreConfig,
-    mem: MemConfig,
-    opts: &ExperimentOptions<P>,
-) -> SimResult {
-    opts.session
-        .run(
-            &SimConfig::builder()
-                .workload(workload)
-                .technique(technique)
-                .core(core)
-                .mem(mem)
-                .instructions(opts.instructions)
-                .warmup(opts.warmup)
-                .seed(opts.seed)
-                .build(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Runs a benchmarks × techniques matrix through the options' session.
 fn run_matrix<P: Profiler>(
     benchmarks: &[&str],
@@ -952,22 +930,6 @@ pub fn seed_sweep<P: Profiler>(opts: &ExperimentOptions<P>, seeds: u64) -> Table
         ]);
     }
     table
-}
-
-/// Convenience: `run_one` with baseline core/memory — used by the binary.
-#[must_use]
-pub fn single<P: Profiler>(
-    workload: &str,
-    technique: Technique,
-    opts: &ExperimentOptions<P>,
-) -> SimResult {
-    run_one(
-        workload,
-        technique,
-        CoreConfig::baseline(),
-        MemConfig::baseline(),
-        opts,
-    )
 }
 
 #[cfg(test)]

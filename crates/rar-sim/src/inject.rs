@@ -29,7 +29,7 @@
 //!   side-by-side with the analytical estimate it validates.
 
 use crate::config::SimConfig;
-use crate::run::{refinement_horizon, RunArtifacts};
+use crate::run::RunArtifacts;
 use rar_ace::{Structure, StructureCapacities};
 use rar_core::{Core, FaultLanding, FaultTarget, NullSink, PlannedFault, RunVerdict, SiteSampler};
 use rar_inject::{
@@ -38,7 +38,7 @@ use rar_inject::{
 use rar_isa::TraceWindow;
 use rar_telemetry::MetricsRegistry;
 use rar_verify::ConfigError;
-use rar_workloads::{SharedTraceIter, TracePrefix};
+use rar_workloads::SharedTraceIter;
 use std::time::{Duration, Instant};
 
 /// Cycle-budget multiple (over the golden run's cycle count) granted to
@@ -83,7 +83,7 @@ impl InjectionHarness {
     pub fn prepare(cfg: &SimConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let artifacts = RunArtifacts::prepare(cfg);
-        let mut core = fresh_core(cfg, &artifacts);
+        let mut core = artifacts.core(cfg, NullSink);
         if cfg.warmup > 0 {
             core.run_until_committed(cfg.warmup);
             core.reset_measurement();
@@ -98,7 +98,7 @@ impl InjectionHarness {
             unrefined_abc: core.ace().abc_by_structure(),
             refined_abc: core.ace().refined_abc_by_structure(),
             capacities: cfg.core.capacities(),
-            artifacts: artifacts.clone(),
+            artifacts,
         })
     }
 
@@ -149,7 +149,7 @@ impl InjectionHarness {
         deadline: Option<Instant>,
     ) -> (Outcome, Option<bool>) {
         let budget = self.hang_budget();
-        let mut core = fresh_core(&self.cfg, &self.artifacts);
+        let mut core = self.artifacts.core(&self.cfg, NullSink);
         core.arm_fault(*fault);
         if self.cfg.warmup > 0 {
             let verdict = core.run_budgeted(self.cfg.warmup, budget, deadline);
@@ -170,7 +170,7 @@ impl InjectionHarness {
     /// them when it returns (one clone holds about 0.7 MB).
     #[must_use]
     pub fn checkpoints(&self) -> GoldenCheckpoints<'_> {
-        let mut core = fresh_core(&self.cfg, &self.artifacts);
+        let mut core = self.artifacts.core(&self.cfg, NullSink);
         // A fault that never strikes turns on the per-register writer
         // tracking an RF strike's liveness prediction reads, exactly as
         // an injected run has it from cycle 0.
@@ -321,21 +321,6 @@ impl GoldenCheckpoints<'_> {
     }
 }
 
-/// A fault-free core for `cfg`, identical to what the plain run path
-/// builds (the golden and injected runs must share every artifact).
-fn fresh_core(cfg: &SimConfig, artifacts: &RunArtifacts) -> HarnessCore {
-    let trace = TraceWindow::new(TracePrefix::resume(&artifacts.prefix));
-    let mut core = Core::with_sink(
-        cfg.core.clone(),
-        cfg.mem.clone(),
-        cfg.technique,
-        trace,
-        NullSink,
-    );
-    core.set_ace_refinement(artifacts.refinement.clone());
-    core
-}
-
 /// Runs a full campaign of `spec.samples` injections for `harness`,
 /// sampling sites with `seed`. Each run is wall-bounded by `run_wall`
 /// (on top of the cycle-budget hang watchdog); outcomes, retries,
@@ -437,13 +422,6 @@ pub fn run_bitlive_validation(
     )?;
     let strata = strata.into_inner().expect("strata lock");
     Ok(BitliveValidation { result, strata })
-}
-
-/// The dead-value horizon used by the harness (re-exported for tests that
-/// reason about golden-run determinism).
-#[must_use]
-pub fn harness_horizon(cfg: &SimConfig) -> usize {
-    refinement_horizon(cfg)
 }
 
 #[cfg(test)]

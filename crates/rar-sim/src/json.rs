@@ -1,15 +1,24 @@
-//! Minimal JSON export of simulation results.
+//! The result document: the JSON export of one run, and its reader.
 //!
 //! The workspace deliberately avoids a JSON dependency; [`SimResult`]
 //! contains only numbers, short identifiers, and fixed-shape arrays, so a
 //! small hand-rolled writer suffices. Output is stable-keyed and suitable
 //! for downstream analysis scripts (`jq`, pandas, ...).
+//!
+//! [`to_json_for`] writes the one document a run's result has: `rar-sim
+//! --json`, the daemon's job results, `results/sim_golden.json` and the
+//! disk cache's entries all hold it. [`from_json`] reads it back from its
+//! integer counters alone: the derived floats (`ipc`, `mlp`, `mpki` and
+//! the three AVF tiers) are recomputed from them by the code a live run
+//! uses, so a read-back result is bit-identical to the one written.
 
 use crate::config::SimConfig;
 use crate::run::SimResult;
-use rar_ace::Structure;
-use rar_core::{StallBucket, OCC_BUCKETS, OCC_STRUCTURES};
-use rar_trace::jsonv::escape;
+use rar_ace::{ReliabilityReport, Structure};
+use rar_core::{CoreStats, StallBucket, Technique, OCC_BUCKETS, OCC_STRUCTURES};
+use rar_frontend::PredictorStats;
+use rar_mem::MemStats;
+use rar_trace::jsonv::{escape, Value};
 use std::fmt::Write as _;
 
 /// Serializes a [`SimResult`] to a pretty-printed JSON object.
@@ -37,6 +46,103 @@ pub fn to_json(r: &SimResult) -> String {
 #[must_use]
 pub fn to_json_for(cfg: &SimConfig, r: &SimResult) -> String {
     render(r, Some(cfg))
+}
+
+/// Reads a document written by [`to_json_for`] (parsed with
+/// [`rar_trace::jsonv::parse`]) back into its configuration fingerprint
+/// and result. Strict: every integer member must be present and exact,
+/// or the answer is `None`. The derived floats are recomputed, not read,
+/// and the `stalls` section is ignored, so the result's
+/// [`SimResult::stalls`] is `None`.
+#[must_use]
+pub fn from_json<'v>(doc: &'v Value<'_>) -> Option<(&'v str, SimResult)> {
+    let fingerprint = doc.get("config_fingerprint")?.as_str()?;
+    let workload = doc.get("workload")?.as_str()?;
+    let technique = Technique::parse(doc.get("technique")?.as_str()?)?;
+    let performance = doc.get("performance")?;
+    let pipeline = doc.get("pipeline")?;
+    let reliability = doc.get("reliability")?;
+    let memory = doc.get("memory")?;
+    let branches = doc.get("branches")?;
+    let runahead = doc.get("runahead")?;
+
+    // Struct literals, so a counter added to any of these structs fails
+    // to compile here until the reader reads it.
+    let stats = CoreStats {
+        cycles: u64_at(performance, "cycles")?,
+        committed: u64_at(performance, "committed")?,
+        branch_mispredicts: u64_at(pipeline, "branch_mispredicts")?,
+        mlp_sum: u64_at(pipeline, "mlp_sum")?,
+        mlp_cycles: u64_at(pipeline, "mlp_cycles")?,
+        runahead_intervals: u64_at(runahead, "intervals")?,
+        runahead_cycles: u64_at(runahead, "cycles")?,
+        runahead_uops: u64_at(runahead, "uops")?,
+        runahead_prefetches: u64_at(runahead, "prefetches")?,
+        runahead_inv_loads: u64_at(runahead, "inv_loads")?,
+        flushes: u64_at(runahead, "flushes")?,
+        squashed: u64_at(runahead, "squashed")?,
+        rob_full_cycles: u64_at(pipeline, "rob_full_cycles")?,
+        iq_full_cycles: u64_at(pipeline, "iq_full_cycles")?,
+        head_blocked_cycles: u64_at(pipeline, "head_blocked_cycles")?,
+        dispatched: u64_at(pipeline, "dispatched")?,
+        issued: u64_at(pipeline, "issued")?,
+    };
+    let mem = MemStats {
+        l1d_hits: u64_at(memory, "l1d_hits")?,
+        l2_hits: u64_at(memory, "l2_hits")?,
+        l3_hits: u64_at(memory, "l3_hits")?,
+        llc_misses: u64_at(memory, "llc_misses")?,
+        l1i_hits: u64_at(memory, "l1i_hits")?,
+        l1i_misses: u64_at(memory, "l1i_misses")?,
+        mshr_merges: u64_at(memory, "mshr_merges")?,
+        mshr_stalls: u64_at(memory, "mshr_stalls")?,
+        prefetches_issued: u64_at(memory, "prefetches_issued")?,
+        runahead_loads: u64_at(memory, "runahead_loads")?,
+    };
+    let predictor = PredictorStats {
+        predictions: u64_at(branches, "predictions")?,
+        mispredictions: u64_at(branches, "mispredictions")?,
+        btb_misses: u64_at(branches, "btb_misses")?,
+    };
+
+    let by_structure = reliability.get("abc_by_structure")?;
+    let mut abc_by_structure = [0u128; Structure::COUNT];
+    for (abc, structure) in abc_by_structure.iter_mut().zip(Structure::ALL) {
+        *abc = u128_at(by_structure, &structure.to_string())?;
+    }
+    // A run's report holds the same per-structure ABC and the same cycle
+    // count as the result, so the document writes each once.
+    let report = ReliabilityReport::from_parts(
+        abc_by_structure,
+        u128_at(reliability, "total_abc")?,
+        u128_at(reliability, "refined_total_abc")?,
+        u128_at(reliability, "bit_refined_total_abc")?,
+        u64_at(reliability, "capacity_bits")?,
+        stats.cycles,
+    );
+    let result = SimResult {
+        workload: workload.to_owned(),
+        technique,
+        stats,
+        reliability: report,
+        mem,
+        predictor,
+        abc_by_structure,
+        window_abc: [
+            u128_at(reliability, "abc_in_full_rob_stall")?,
+            u128_at(reliability, "abc_in_head_blocked")?,
+        ],
+        stalls: None,
+    };
+    Some((fingerprint, result))
+}
+
+fn u64_at(section: &Value<'_>, key: &str) -> Option<u64> {
+    section.get(key)?.as_u64()
+}
+
+fn u128_at(section: &Value<'_>, key: &str) -> Option<u128> {
+    section.get(key)?.as_u128()
 }
 
 fn render(r: &SimResult, cfg: Option<&SimConfig>) -> String {
@@ -188,6 +294,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::run::Simulation;
+    use rar_trace::jsonv;
 
     fn sample() -> SimResult {
         Simulation::run(
@@ -280,7 +387,10 @@ mod tests {
             .build();
         let plain = to_json(&Simulation::run(&cfg));
         assert!(!plain.contains("\"stalls\""));
-        let stalled = Simulation::try_run_stalled(&cfg).expect("valid config");
+        let stalled = crate::SweepSession::new()
+            .stall_profiling(true)
+            .run(&cfg)
+            .expect("valid config");
         let json = to_json(&stalled);
         assert!(json.contains("\"stalls\": {"));
         for bucket in StallBucket::ALL {
@@ -293,6 +403,47 @@ mod tests {
         assert!(json.contains(&format!("\"total_cycles\": {}", stalled.stats.cycles)));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains(",\n    }") && !json.contains(",\n  }"));
+    }
+
+    #[test]
+    fn the_reader_needs_every_integer_member() {
+        let cfg = SimConfig::builder()
+            .workload("milc")
+            .instructions(1_500)
+            .warmup(300)
+            .build();
+        let r = Simulation::run(&cfg);
+        let doc = to_json_for(&cfg, &r);
+        let parsed = jsonv::parse(&doc).expect("the export is JSON");
+        assert_eq!(
+            from_json(&parsed),
+            Some((cfg.fingerprint().as_str(), r.clone()))
+        );
+        // One member per line: drop each integer member in turn, moving a
+        // last member's missing comma onto the line before it.
+        let lines: Vec<&str> = doc.lines().collect();
+        let mut removed = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let Some((_, value)) = line.split_once("\": ") else {
+                continue;
+            };
+            if value.trim_end_matches(',').parse::<u128>().is_err() {
+                continue;
+            }
+            let mut kept: Vec<String> = lines.iter().map(|&l| l.to_owned()).collect();
+            kept.remove(i);
+            if !line.ends_with(',') {
+                let before = &mut kept[i - 1];
+                *before = before.trim_end_matches(',').to_owned();
+            }
+            let damaged = kept.join("\n");
+            let parsed = jsonv::parse(&damaged).expect("still JSON");
+            assert_eq!(from_json(&parsed), None, "read without {line}");
+            removed += 1;
+        }
+        // 2 performance, 8 pipeline, 13 reliability, 10 memory, 3 branch
+        // and 7 runahead counters.
+        assert_eq!(removed, 43);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rar_isa::{TraceWindow, UopSource};
 use rar_mem::MemStats;
 use rar_trace::{NullSink, RingSink, TraceSink};
 use rar_verify::{AceRefinement, ConfigError};
-use rar_workloads::{workload, TracePrefix};
+use rar_workloads::{workload, SharedTraceIter, TracePrefix};
 use std::sync::Arc;
 
 /// Executes simulations described by [`SimConfig`].
@@ -51,6 +51,30 @@ impl RunArtifacts {
         ));
         let refinement = rar_verify::analyze(prefix.uops());
         RunArtifacts { prefix, refinement }
+    }
+
+    /// A fresh core for `cfg` over these artifacts: the trace window over
+    /// the shared prefix, the refinement installed, and the sample
+    /// interval set when `sink` is live. Every run path builds its core
+    /// here, so golden and injected runs share every artifact.
+    pub(crate) fn core<T: TraceSink>(
+        &self,
+        cfg: &SimConfig,
+        sink: T,
+    ) -> Core<TraceWindow<SharedTraceIter>, T> {
+        let trace = TraceWindow::new(TracePrefix::resume(&self.prefix));
+        let mut core = Core::with_sink(
+            cfg.core.clone(),
+            cfg.mem.clone(),
+            cfg.technique,
+            trace,
+            sink,
+        );
+        core.set_ace_refinement(self.refinement.clone());
+        if T::ENABLED {
+            core.set_sample_interval(cfg.trace.sample_interval);
+        }
+        core
     }
 }
 
@@ -90,20 +114,6 @@ impl Simulation {
         ))
     }
 
-    /// Runs one configuration with the per-cycle stall/occupancy profiler
-    /// enabled (see [`rar_core::StallProfile`]): the result's
-    /// [`SimResult::stalls`] carries the cycle taxonomy, and everything
-    /// else is bit-identical to [`Simulation::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if [`SimConfig::validate`] rejects the
-    /// configuration; nothing is simulated in that case.
-    pub fn try_run_stalled(cfg: &SimConfig) -> Result<SimResult, ConfigError> {
-        cfg.validate()?;
-        Ok(Simulation::run_prepared(cfg, NullSink, &RunArtifacts::prepare(cfg), true).result)
-    }
-
     /// Runs a *validated* configuration with pre-built artifacts. This is
     /// the sweep engine's entry: the artifacts may be shared with other
     /// concurrent runs of the same (workload, seed). With `stalls` the
@@ -115,18 +125,7 @@ impl Simulation {
         artifacts: &RunArtifacts,
         stalls: bool,
     ) -> RunOutput<T> {
-        let trace = TraceWindow::new(TracePrefix::resume(&artifacts.prefix));
-        let mut core = Core::with_sink(
-            cfg.core.clone(),
-            cfg.mem.clone(),
-            cfg.technique,
-            trace,
-            sink,
-        );
-        core.set_ace_refinement(artifacts.refinement.clone());
-        if T::ENABLED {
-            core.set_sample_interval(cfg.trace.sample_interval);
-        }
+        let mut core = artifacts.core(cfg, sink);
         if stalls {
             core.enable_stall_profiling();
         }
@@ -159,18 +158,7 @@ impl Simulation {
         max_cycles: u64,
         deadline: Option<std::time::Instant>,
     ) -> Result<RunOutput<T>, RunVerdict> {
-        let trace = TraceWindow::new(TracePrefix::resume(&artifacts.prefix));
-        let mut core = Core::with_sink(
-            cfg.core.clone(),
-            cfg.mem.clone(),
-            cfg.technique,
-            trace,
-            sink,
-        );
-        core.set_ace_refinement(artifacts.refinement.clone());
-        if T::ENABLED {
-            core.set_sample_interval(cfg.trace.sample_interval);
-        }
+        let mut core = artifacts.core(cfg, sink);
         if stalls {
             core.enable_stall_profiling();
         }
@@ -287,7 +275,8 @@ pub struct SimResult {
     /// ABC attributed to [full-ROB-stall, ROB-head-blocked] windows.
     pub window_abc: [u128; 2],
     /// Per-cycle stall taxonomy and occupancy shapes; `None` unless the
-    /// run enabled stall profiling ([`Simulation::try_run_stalled`]).
+    /// run enabled stall profiling
+    /// ([`SweepSession::stall_profiling`](crate::SweepSession::stall_profiling)).
     pub stalls: Option<Box<StallProfile>>,
 }
 
@@ -568,7 +557,10 @@ mod tests {
             .instructions(6_000)
             .build();
         let plain = Simulation::run(&cfg);
-        let stalled = Simulation::try_run_stalled(&cfg).expect("valid config");
+        let stalled = crate::SweepSession::new()
+            .stall_profiling(true)
+            .run(&cfg)
+            .expect("valid config");
         let profile = stalled.stalls.as_ref().expect("profile present");
         // Conservation: every measured cycle is attributed exactly once.
         assert_eq!(profile.total(), stalled.stats.cycles);

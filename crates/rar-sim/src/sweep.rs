@@ -477,8 +477,8 @@ pub struct SweepSession<P: Profiler = NullProfiler> {
     avf: Mutex<AvfAccum>,
     /// Guest-side per-cycle stall profiling ([`SweepSession::stall_profiling`]).
     /// Stall-profiled sessions bypass the disk cache entirely: cached
-    /// entries carry no profile, and profiled results must never pollute
-    /// the byte-pinned cache goldens.
+    /// entries carry no profile, so a hit could not answer a profiled
+    /// request.
     stalls: bool,
     /// Stall taxonomy summed over every simulated cell (empty unless
     /// `stalls`).
@@ -734,8 +734,7 @@ impl<P: Profiler> SweepSession<P> {
     /// The usable disk cache, if any: `None` while the cache circuit
     /// breaker is open (it re-admits one probe per cooldown), and `None`
     /// whenever stall profiling is on (cached entries carry no stall
-    /// profile, and profiled runs must not overwrite the byte-pinned
-    /// cache entries).
+    /// profile).
     fn live_cache(&self) -> Option<&DiskCache> {
         let cache = self.cache.as_ref()?;
         if self.stalls || !self.cache_breaker.allow() {

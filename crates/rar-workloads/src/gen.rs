@@ -177,7 +177,7 @@ impl TraceGenerator {
             rng: SplitMix64::new(seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1)),
             chain_pos: (0..chains.max(1) as u64).map(|c| c * 977).collect(),
             stream_pos: (0..streams as u64).map(|s| s * 1_000_003).collect(),
-            recent_chase: std::collections::VecDeque::with_capacity(8192),
+            recent_chase: std::collections::VecDeque::new(),
             hot_pos: 0,
             store_pos: 0,
             pending: Vec::new(),

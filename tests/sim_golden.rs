@@ -6,7 +6,9 @@
 //! every extended technique on a memory-bound and a compute-bound
 //! workload, plus wrong-path modelling and the M1-class core — against
 //! `results/sim_golden.json`. A simulator speed-up must leave it
-//! byte-identical.
+//! byte-identical. The golden also pins the reader: `json::from_json`
+//! must take every golden document back to a result that exports the
+//! same bytes.
 //!
 //! On a mismatch the actual output is written to Cargo's temporary
 //! directory for integration tests (`target/tmp`) and its path is
@@ -15,6 +17,7 @@
 
 use rar::core::{CoreConfig, Technique};
 use rar::sim::{json, SimConfig, Simulation};
+use rar::trace::jsonv;
 use std::path::Path;
 
 const GOLDEN: &str = "results/sim_golden.json";
@@ -46,7 +49,17 @@ fn cells() -> Vec<SimConfig> {
     cells
 }
 
-fn render() -> String {
+fn render(docs: &[String]) -> String {
+    format!("[\n{}\n]\n", docs.join(",\n"))
+}
+
+fn golden() -> String {
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    std::fs::read_to_string(&golden_path).unwrap_or_default()
+}
+
+#[test]
+fn simulated_statistics_match_the_golden_bytes() {
     let docs: Vec<String> = cells()
         .iter()
         .map(|cfg| {
@@ -54,14 +67,8 @@ fn render() -> String {
             json::to_json_for(cfg, &result).trim_end().to_string()
         })
         .collect();
-    format!("[\n{}\n]\n", docs.join(",\n"))
-}
-
-#[test]
-fn simulated_statistics_match_the_golden_bytes() {
-    let actual = render();
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
-    let golden = std::fs::read_to_string(&golden_path).unwrap_or_default();
+    let actual = render(&docs);
+    let golden = golden();
     if actual != golden {
         let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sim_golden.actual.json");
         std::fs::write(&out, &actual).expect("write actual output");
@@ -76,4 +83,28 @@ fn simulated_statistics_match_the_golden_bytes() {
             out.display()
         );
     }
+}
+
+/// The reader takes every golden document back to the result that wrote
+/// it: rendering the read-back results again gives the golden bytes.
+#[test]
+fn golden_documents_read_back_to_the_same_bytes() {
+    let golden = golden();
+    let parsed = jsonv::parse(&golden).expect("the golden is JSON");
+    let documents = parsed.as_array().expect("an array of documents");
+    let cells = cells();
+    assert_eq!(documents.len(), cells.len());
+    let docs: Vec<String> = documents
+        .iter()
+        .zip(&cells)
+        .map(|(doc, cfg)| {
+            let (fingerprint, result) = json::from_json(doc).expect("a complete document");
+            assert_eq!(fingerprint, cfg.fingerprint());
+            json::to_json_for(cfg, &result)
+        })
+        .collect();
+    assert!(
+        render(&docs) == golden,
+        "read-back documents differ from {GOLDEN}"
+    );
 }
