@@ -17,7 +17,7 @@ use std::io;
 ///
 /// Format: `;`-separated entries, each either `seed=N` or
 /// `SITE:ONE_IN[:OFFSET]`, e.g.
-/// `seed=7;serve.queue.journal.torn:2;sim.cache.read.err:3:1`.
+/// `seed=7;journal.torn:2;sim.cache.read.err:3:1`.
 pub const ENV_VAR: &str = "RAR_CHAOS";
 
 /// Whether the fail-point fabric is compiled into this build.
@@ -43,18 +43,16 @@ pub mod sites {
     pub const SIM_CACHE_WRITE_ERR: &str = "sim.cache.write.err";
     /// Disk-cache I/O completes but only after an injected latency stall.
     pub const SIM_CACHE_IO_SLOW: &str = "sim.cache.io.slow";
-    /// Injection-journal flush fails before any bytes reach the file
-    /// (`JournalWriter::sync`); the record buffer is retained for retry.
-    pub const INJECT_JOURNAL_APPEND_ERR: &str = "inject.journal.append.err";
-    /// Queue-journal append is torn: a prefix of the record is written,
-    /// then the write fails. Replay must recover the durable prefix.
-    pub const SERVE_QUEUE_JOURNAL_TORN: &str = "serve.queue.journal.torn";
-    /// Queue-journal append is silently short: fewer bytes than requested
-    /// land on disk and the write reports success. Caught by the
-    /// length-verify step and rolled back.
-    pub const SERVE_QUEUE_JOURNAL_SHORT: &str = "serve.queue.journal.short";
-    /// Queue-journal fsync fails after a fully written record.
-    pub const SERVE_QUEUE_JOURNAL_FSYNC: &str = "serve.queue.journal.fsync";
+    /// Journal append is torn: a prefix of the line is written, then the
+    /// write fails (`JournalWriter`, both JSONL journals). The writer must
+    /// cut the prefix back off.
+    pub const JOURNAL_TORN: &str = "journal.torn";
+    /// Journal append is silently short: fewer bytes than requested land
+    /// and the write reports success. Caught by the writer's length check
+    /// and cut back off.
+    pub const JOURNAL_SHORT: &str = "journal.short";
+    /// Journal `sync_data` fails after fully written lines.
+    pub const JOURNAL_FSYNC: &str = "journal.fsync";
     /// Worker thread panics right after claiming a job; the supervisor
     /// must requeue the claimed job and respawn the worker.
     pub const SERVE_WORKER_PANIC: &str = "serve.worker.panic";
@@ -66,15 +64,14 @@ pub mod sites {
     pub const SERVE_HTTP_CONN_STALL: &str = "serve.http.conn.stall";
 
     /// All registered fail-point site names.
-    pub const ALL: [&str; 11] = [
+    pub const ALL: [&str; 10] = [
         SIM_CACHE_READ_ERR,
         SIM_CACHE_READ_CORRUPT,
         SIM_CACHE_WRITE_ERR,
         SIM_CACHE_IO_SLOW,
-        INJECT_JOURNAL_APPEND_ERR,
-        SERVE_QUEUE_JOURNAL_TORN,
-        SERVE_QUEUE_JOURNAL_SHORT,
-        SERVE_QUEUE_JOURNAL_FSYNC,
+        JOURNAL_TORN,
+        JOURNAL_SHORT,
+        JOURNAL_FSYNC,
         SERVE_WORKER_PANIC,
         SERVE_HTTP_CONN_DROP,
         SERVE_HTTP_CONN_STALL,
@@ -416,11 +413,10 @@ mod tests {
 
     #[test]
     fn plan_parse_round_trip() {
-        let plan =
-            ChaosPlan::parse("seed=7; serve.queue.journal.torn:2 ;sim.cache.read.err:3:1").unwrap();
+        let plan = ChaosPlan::parse("seed=7; journal.torn:2 ;sim.cache.read.err:3:1").unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.sites.len(), 2);
-        assert_eq!(plan.sites[0].site, sites::SERVE_QUEUE_JOURNAL_TORN);
+        assert_eq!(plan.sites[0].site, sites::JOURNAL_TORN);
         assert_eq!(plan.sites[0].one_in, 2);
         assert_eq!(plan.sites[0].offset, 0);
         assert_eq!(plan.sites[1].one_in, 3);

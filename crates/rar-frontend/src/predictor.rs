@@ -14,17 +14,6 @@ pub struct Prediction {
     pub target: Option<u64>,
     /// Internal TAGE state threaded to the update.
     tage: TagePrediction,
-    /// Which component produced the final direction.
-    from_loop: bool,
-}
-
-impl Prediction {
-    /// True when the loop predictor (rather than TAGE-SC) supplied the
-    /// direction.
-    #[must_use]
-    pub fn from_loop_predictor(&self) -> bool {
-        self.from_loop
-    }
 }
 
 /// Aggregate prediction statistics.
@@ -102,16 +91,15 @@ impl BranchPredictor {
     /// Predicts direction and target for the conditional branch at `pc`.
     pub fn predict(&mut self, pc: u64) -> Prediction {
         let tage = self.tage.predict(pc);
-        let (taken, from_loop) = match self.loop_pred.predict(pc) {
-            Some(t) => (t, true),
-            None => (self.sc.correct(pc, tage.taken, tage.weak), false),
+        let taken = match self.loop_pred.predict(pc) {
+            Some(t) => t,
+            None => self.sc.correct(pc, tage.taken, tage.weak),
         };
         let target = if taken { self.btb.lookup(pc) } else { None };
         let p = Prediction {
             taken,
             target,
             tage,
-            from_loop,
         };
         self.pending = Some((pc, p));
         p

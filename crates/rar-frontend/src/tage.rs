@@ -383,12 +383,6 @@ impl Tage {
             folds.tag_short.push(&self.history);
         }
     }
-
-    /// Number of tagged tables.
-    #[must_use]
-    pub fn num_tables(&self) -> usize {
-        self.tagged.len()
-    }
 }
 
 #[cfg(test)]

@@ -13,16 +13,17 @@
 //!   simulator) are retried with capped exponential backoff; runs that
 //!   stay broken are excluded and reported, degrading the campaign's
 //!   confidence intervals gracefully instead of killing it.
-//! - **Process death** is covered by the JSONL journal: completed
-//!   injections are appended (fsynced in batches), and a rerun with the
-//!   same journal replays them and executes only the missing sample
-//!   indices. Tallies are order-independent sums, so an interrupted-then-
-//!   resumed campaign produces byte-identical tallies to an uninterrupted
-//!   one.
-//! - **Journal I/O failures** are retried like the executor's; if a write
-//!   stays broken the journal is dropped and the campaign continues
-//!   in-memory (resume from that point is impossible, which the telemetry
-//!   counter `rar_inject_journal_errors_total` records).
+//! - **Process death** is covered by the JSONL journal: each completed
+//!   injection is written to it at once (fsynced in batches), and a
+//!   rerun with the same journal replays them and executes only the
+//!   missing sample indices. Tallies are order-independent sums, so an
+//!   interrupted-then-resumed campaign produces byte-identical tallies to
+//!   an uninterrupted one.
+//! - **Journal I/O failures** are cut back off and retried like the
+//!   executor's; if a write stays broken the journal is dropped and the
+//!   campaign continues in-memory (resume from that point is impossible,
+//!   which the telemetry counter `rar_inject_journal_errors_total`
+//!   records).
 //!
 //! Work is distributed over `threads` workers by an atomic next-`k`
 //! counter. Because site planning is pure in `k` and tallies commute, the
@@ -189,11 +190,12 @@ fn journal_append(
     let Some(writer) = guard.as_mut() else {
         return;
     };
+    let line = rec.to_line();
     let appended = retry_with_backoff(
         retry_policy(spec),
         JOURNAL_RETRY_SEED,
         Some(&counters.retries),
-        |_| writer.append(rec),
+        |_| writer.append(&line),
     );
     match appended {
         Ok(synced) => {
@@ -239,7 +241,12 @@ where
     let mut done: HashSet<u64> = HashSet::new();
     let writer = match &spec.journal {
         Some(path) => {
-            let (records, writer) = JournalWriter::resume(path, spec.fsync_every)?;
+            let (records, writer) = JournalWriter::resume(
+                path,
+                "journal",
+                JournalRecord::parse_line,
+                spec.fsync_every,
+            )?;
             for rec in records {
                 if rec.k < spec.samples && done.insert(rec.k) {
                     tally.record(rec.fault.target, rec.outcome);
@@ -327,7 +334,7 @@ where
         }
     });
 
-    // Final durability point: flush the partial batch.
+    // Final durability point: sync the partial batch.
     if let Some(w) = writer.lock().expect("journal lock").as_mut() {
         if w.sync().is_ok() {
             counters.flushes.inc();

@@ -1,5 +1,6 @@
-//! The campaign journal: one JSONL line per completed injection, fsynced
-//! in batches, tolerant of a torn tail on resume.
+//! The campaign journal: one JSONL line per completed injection, and the
+//! one writer both JSONL journals (campaign and daemon queue) append
+//! through.
 //!
 //! The journal is the campaign's crash-consistency mechanism. Every
 //! classified injection appends one self-contained line recording the
@@ -9,19 +10,22 @@
 //! `rar_core::FaultInjector`), the journal never needs to checkpoint
 //! generator state — the set of completed `k`s IS the checkpoint.
 //!
-//! Durability is batched: lines are buffered and pushed to disk with
-//! `sync_data` every `fsync_every` records, bounding loss on a crash to
-//! one batch. A process killed mid-append can leave a torn (partial) final
-//! line; [`replay`] skips exactly that case, while corruption anywhere
-//! else in the file is reported as an error rather than silently dropped,
-//! and [`reopen`] cuts the torn line off before the next append. The
-//! daemon's queue journal replays and reopens through the same two.
+//! [`JournalWriter`] writes each line at once, checks its length and cuts
+//! a failed append back off, and pushes lines to stable storage with
+//! `sync_data` every `fsync_every` lines, bounding loss on a crash to the
+//! unsynced tail. A process killed mid-append can leave a torn (partial)
+//! final line; [`replay`] skips exactly that case, while corruption
+//! anywhere else in the file is reported as an error rather than silently
+//! dropped, and [`JournalWriter::resume`] cuts the torn line off before the
+//! next append. The daemon's queue journal replays and appends through the
+//! same two.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use rar_chaos::sites;
 use rar_core::{FaultTarget, PlannedFault};
 use rar_trace::jsonv;
 
@@ -143,63 +147,130 @@ pub fn validate_journal_path(path: &Path) -> Result<(), JournalPathError> {
     }
 }
 
-/// Append-only journal writer with batched `sync_data`.
+/// The one append-only writer of both JSONL journals (campaign and
+/// daemon queue).
+///
+/// Each line is written at once and its length checked. A torn write
+/// (an error after a prefix landed), a short write (a prefix landed and
+/// the write reported success) or a failed sync is cut back to the file's
+/// length before the line, so an append that returns an error leaves no
+/// part of its line behind and a retry can never fuse two lines. The
+/// chaos fabric's `journal.torn`, `journal.short` and `journal.fsync`
+/// fail-points live in this path.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
-    buf: Vec<u8>,
     pending: usize,
     fsync_every: usize,
 }
 
 impl JournalWriter {
-    /// Replays the journal at `path` (see [`replay`]) and reopens it for
-    /// appending (see [`reopen`]); returns its intact records and the writer.
+    /// Replays the journal at `path` (see [`replay`], which parses each
+    /// line with `parse` and names the `what` journal in a corruption
+    /// error) and reopens it for appending; returns the records and the
+    /// writer, which syncs every `fsync_every` lines.
     ///
     /// # Errors
     ///
     /// I/O failures, or corruption before the final line.
-    pub fn resume(
+    pub fn resume<T>(
         path: &Path,
+        what: &str,
+        parse: impl FnMut(&str) -> Option<T>,
         fsync_every: usize,
-    ) -> io::Result<(Vec<JournalRecord>, JournalWriter)> {
-        let (records, durable_len) = replay(path, "journal", JournalRecord::parse_line)?;
+    ) -> io::Result<(Vec<T>, JournalWriter)> {
+        let (records, durable_len) = replay(path, what, parse)?;
+        // Cut a torn final line off and restore a newline a crash tore
+        // off the last record, so the next append starts a line of its
+        // own instead of fusing onto the partial one.
+        let mut file = open_append(path)?;
+        let len = file.metadata()?.len();
+        if len > durable_len {
+            file.set_len(durable_len)?;
+        } else if len < durable_len {
+            file.write_all(b"\n")?;
+        }
         let writer = JournalWriter {
-            file: reopen(path, durable_len)?,
-            buf: Vec::new(),
+            file,
             pending: 0,
             fsync_every: fsync_every.max(1),
         };
         Ok((records, writer))
     }
 
-    /// Appends one record; returns `true` when this append flushed a batch
-    /// to stable storage.
-    pub fn append(&mut self, rec: &JournalRecord) -> io::Result<bool> {
-        self.buf.extend_from_slice(rec.to_line().as_bytes());
-        self.buf.push(b'\n');
-        self.pending += 1;
-        if self.pending >= self.fsync_every {
-            self.sync()?;
-            return Ok(true);
-        }
-        Ok(false)
+    /// Appends `line` and a newline, syncing once `fsync_every` lines are
+    /// pending; returns whether this append synced.
+    ///
+    /// # Errors
+    ///
+    /// A failed or short write, or a failed sync; the line is cut back off.
+    pub fn append(&mut self, line: &str) -> io::Result<bool> {
+        let sync = self.pending + 1 >= self.fsync_every;
+        self.write(line, sync)?;
+        Ok(sync)
     }
 
-    /// Writes any buffered lines and pushes them to stable storage.
+    /// Appends `line` and a newline and syncs at once.
+    ///
+    /// # Errors
+    ///
+    /// A failed or short write, or a failed sync; the line is cut back off.
+    pub fn append_durable(&mut self, line: &str) -> io::Result<()> {
+        self.write(line, true)
+    }
+
+    /// Pushes every pending line to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// A failed sync.
     pub fn sync(&mut self) -> io::Result<()> {
-        // Chaos fail-point: the flush fails before any bytes reach the
-        // file, so the buffered records stay queued for the retry path.
-        // (A retried append re-buffers its record; replay dedups by
-        // sample index, so a duplicated line is benign by design.)
-        rar_chaos::maybe_io_err(rar_chaos::sites::INJECT_JOURNAL_APPEND_ERR)?;
-        if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
-            self.buf.clear();
-        }
         if self.pending > 0 {
+            rar_chaos::maybe_io_err(sites::JOURNAL_FSYNC)?;
             self.file.sync_data()?;
             self.pending = 0;
+        }
+        Ok(())
+    }
+
+    /// Writes `line` and a newline at the end of the file and syncs when
+    /// `sync`; on any failure cuts the file back to its length before.
+    fn write(&mut self, line: &str, sync: bool) -> io::Result<()> {
+        let start = self.file.metadata()?.len();
+        self.pending += 1;
+        let written = self
+            .write_checked(format!("{line}\n").as_bytes(), start)
+            .and_then(|()| if sync { self.sync() } else { Ok(()) });
+        if written.is_err() {
+            self.pending -= 1;
+            let _ = self.file.set_len(start);
+        }
+        written
+    }
+
+    /// Writes `bytes` and checks that the file grew from `start` by
+    /// exactly their length.
+    fn write_checked(&mut self, bytes: &[u8], start: u64) -> io::Result<()> {
+        if let Some(hit) = rar_chaos::fire(sites::JOURNAL_TORN) {
+            // Torn write: a strict prefix lands, then the write errors.
+            let cut = 1 + (hit.roll as usize) % (bytes.len() - 1);
+            self.file.write_all(&bytes[..cut])?;
+            return Err(io::Error::other("chaos: torn journal append"));
+        }
+        if let Some(hit) = rar_chaos::fire(sites::JOURNAL_SHORT) {
+            // Silent short write: a prefix lands and the write "succeeds";
+            // only the length check below catches it.
+            let cut = 1 + (hit.roll as usize) % (bytes.len() - 1);
+            self.file.write_all(&bytes[..cut])?;
+        } else {
+            self.file.write_all(bytes)?;
+        }
+        let end = self.file.metadata()?.len();
+        let want = start + bytes.len() as u64;
+        if end != want {
+            return Err(io::Error::other(format!(
+                "short journal append: file at {end}, expected {want}"
+            )));
         }
         Ok(())
     }
@@ -253,25 +324,6 @@ pub fn replay<T>(
     Ok((records, durable as u64))
 }
 
-/// Opens the journal at `path` for appending after a [`replay`] that
-/// measured `durable_len`: a torn final line is cut off and a torn-off
-/// newline restored, so the next append starts a line of its own instead
-/// of fusing onto the partial one.
-///
-/// # Errors
-///
-/// I/O failures.
-pub fn reopen(path: &Path, durable_len: u64) -> io::Result<File> {
-    let mut file = open_append(path)?;
-    let len = file.metadata()?.len();
-    if len > durable_len {
-        file.set_len(durable_len)?;
-    } else if len < durable_len {
-        file.write_all(b"\n")?;
-    }
-    Ok(file)
-}
-
 /// Opens `path` for appending, creating it and its missing parent
 /// directories.
 fn open_append(path: &Path) -> io::Result<File> {
@@ -296,6 +348,12 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    fn resume(path: &Path, fsync_every: usize) -> JournalWriter {
+        let (_, w) = JournalWriter::resume(path, "journal", JournalRecord::parse_line, fsync_every)
+            .expect("open");
+        w
     }
 
     fn record(k: u64) -> JournalRecord {
@@ -327,9 +385,9 @@ mod tests {
     #[test]
     fn write_then_load_recovers_everything() {
         let path = tmp_journal("roundtrip");
-        let (_, mut w) = JournalWriter::resume(&path, 4).expect("open");
+        let mut w = resume(&path, 4);
         for k in 0..10 {
-            w.append(&record(k)).expect("append");
+            w.append(&record(k).to_line()).expect("append");
         }
         w.sync().expect("sync");
         let got = load_journal(&path).expect("load");
@@ -410,8 +468,8 @@ mod tests {
         // The probe leaves an empty journal: still a fresh start.
         assert!(load_journal(&path).expect("load").is_empty());
         // Validation of an existing journal does not disturb its records.
-        let (_, mut w) = JournalWriter::resume(&path, 1).expect("open");
-        w.append(&record(3)).expect("append");
+        let mut w = resume(&path, 1);
+        w.append(&record(3).to_line()).expect("append");
         w.sync().expect("sync");
         validate_journal_path(&path).expect("existing journal is writable");
         assert_eq!(load_journal(&path).expect("load"), vec![record(3)]);
@@ -421,13 +479,14 @@ mod tests {
     #[test]
     fn fsync_batches_report_flush_boundaries() {
         let path = tmp_journal("batch");
-        let (_, mut w) = JournalWriter::resume(&path, 3).expect("open");
+        let mut w = resume(&path, 3);
         let flushed: Vec<bool> = (0..7)
-            .map(|k| w.append(&record(k)).expect("append"))
+            .map(|k| w.append(&record(k).to_line()).expect("append"))
             .collect();
         assert_eq!(flushed, [false, false, true, false, false, true, false]);
-        w.sync().expect("sync");
+        // Every line is in the file at once; a sync only makes it durable.
         assert_eq!(load_journal(&path).expect("load").len(), 7);
+        w.sync().expect("sync");
         std::fs::remove_file(&path).ok();
     }
 }

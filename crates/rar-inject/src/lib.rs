@@ -11,7 +11,9 @@
 //! - [`outcome`] — the masked / SDC / DUE taxonomy, per-structure integer
 //!   tallies, and 95% normal-approximation confidence intervals;
 //! - [`journal`] — a JSONL completion journal with batched fsync and
-//!   torn-tail-tolerant loading, making campaigns crash-consistent;
+//!   torn-tail-tolerant loading, making campaigns crash-consistent, and
+//!   its writer, which cuts a failed append back off and which the
+//!   daemon's queue journal shares;
 //! - [`campaign`] — the resumable multi-threaded runner: `catch_unwind`
 //!   per injection, transient-failure retry with capped backoff, and
 //!   graceful degradation to partial results;

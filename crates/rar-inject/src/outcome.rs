@@ -57,12 +57,6 @@ impl Outcome {
         .into_iter()
         .find(|o| o.name() == s)
     }
-
-    /// Whether the fault was architecturally visible (SDC or DUE).
-    #[must_use]
-    pub const fn is_unmasked(self) -> bool {
-        matches!(self, Outcome::Sdc | Outcome::DueHang | Outcome::DuePanic)
-    }
 }
 
 /// Integer outcome counts for one injection target.

@@ -25,14 +25,6 @@ pub enum HitLevel {
     Memory,
 }
 
-impl HitLevel {
-    /// True when the access missed the last-level cache.
-    #[must_use]
-    pub const fn is_llc_miss(self) -> bool {
-        matches!(self, HitLevel::Memory)
-    }
-}
-
 /// The kind of access presented to the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -177,11 +169,6 @@ impl MemoryHierarchy {
     /// [`MemoryHierarchy::access`].
     pub fn note_runahead_load(&mut self) {
         self.stats.runahead_loads += 1;
-    }
-
-    /// True if a demand load miss could allocate an MSHR at `now`.
-    pub fn mshr_available(&mut self, now: u64) -> bool {
-        self.mshr.has_free(now)
     }
 
     /// Whether the line containing `addr` is present in the data-side
@@ -441,16 +428,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// MSHR telemetry: (peak occupancy, allocations, merges).
-    #[must_use]
-    pub fn mshr_telemetry(&self) -> (usize, u64, u64) {
-        (
-            self.mshr.peak(),
-            self.mshr.allocations(),
-            self.mshr.merges(),
-        )
-    }
-
     /// Read-only MSHR conservation snapshot for the invariant sanitizer:
     /// `(allocations, released, resident, capacity, peak)`. Unlike
     /// [`MemoryHierarchy::outstanding_misses`] this never expires entries,
@@ -464,12 +441,6 @@ impl MemoryHierarchy {
             self.mshr.capacity(),
             self.mshr.peak(),
         )
-    }
-
-    /// Row-buffer statistics from the DRAM device.
-    #[must_use]
-    pub fn dram_stats(&self) -> crate::dram::DramStats {
-        self.dram.stats()
     }
 
     /// Fault injection: corrupts the L1-D tag way at flat `slot` (see

@@ -220,7 +220,7 @@ fn report_cmd(args: &[String]) -> ExitCode {
 fn inject_cmd(args: &[String]) -> ExitCode {
     use rar_core::{FaultTarget, Technique};
     use rar_inject::{CampaignSpec, Stratum};
-    use rar_sim::inject::{run_bitlive_validation, run_injection_campaign, InjectionHarness};
+    use rar_sim::inject::{paired, paired_journal, run_bitlive_validation, run_injection_campaign};
 
     let mut workload = "mcf".to_owned();
     let mut warmup: u64 = 300;
@@ -284,44 +284,56 @@ fn inject_cmd(args: &[String]) -> ExitCode {
         i += 2;
     }
 
+    if validate_bitlive && journal.is_some() {
+        eprintln!(
+            "inject: --journal is not supported with --validate-bitlive \
+             (journal replay cannot restore prediction strata)"
+        );
+        return ExitCode::from(2);
+    }
+    // One journal per technique; fail up front with a typed diagnostic
+    // (directory, unwritable parent, ...) instead of panicking
+    // mid-campaign.
+    let journal = journal.map(std::path::PathBuf::from);
+    for technique in [Technique::Ooo, Technique::Rar] {
+        if let Some(base) = &journal {
+            if let Err(e) = rar_inject::validate_journal_path(&paired_journal(base, technique)) {
+                eprintln!("inject: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    let mut b = SimConfig::builder();
+    b.workload(&workload)
+        .warmup(warmup)
+        .instructions(instructions);
+    if let Some(s) = sim_seed {
+        b.seed(s);
+    }
+    let harnesses = match paired(&b.build()) {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
+
     // The bit-liveness validation mode: strikes restricted to the
     // register files, outcomes stratified by the static per-bit dead
     // prediction, and a hard soundness gate — predicted-dead bits must
     // show vulnerability statistically consistent with zero at 95%
     // confidence, otherwise exit non-zero.
     if validate_bitlive {
-        if journal.is_some() {
-            eprintln!(
-                "inject: --journal is not supported with --validate-bitlive \
-                 (journal replay cannot restore prediction strata)"
-            );
-            return ExitCode::from(2);
-        }
         let mut validations = Vec::new();
-        for technique in [Technique::Ooo, Technique::Rar] {
-            let mut b = SimConfig::builder();
-            b.workload(&workload)
-                .technique(technique)
-                .warmup(warmup)
-                .instructions(instructions);
-            if let Some(s) = sim_seed {
-                b.seed(s);
-            }
-            let cfg = b.build();
-            let harness = match InjectionHarness::prepare(&cfg) {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            };
+        for harness in &harnesses {
+            let technique = harness.config().technique;
             let spec = CampaignSpec {
                 samples,
                 threads,
                 limit,
                 ..CampaignSpec::default()
             };
-            let v = match run_bitlive_validation(&harness, &spec, inject_seed, None, None) {
+            let v = match run_bitlive_validation(harness, &spec, inject_seed, None, None) {
                 Ok(v) => v,
                 Err(e) => {
                     eprintln!("inject: {e}");
@@ -420,41 +432,12 @@ fn inject_cmd(args: &[String]) -> ExitCode {
         ))
     });
     let mut campaigns = Vec::new();
-    for technique in [Technique::Ooo, Technique::Rar] {
-        let mut b = SimConfig::builder();
-        b.workload(&workload)
-            .technique(technique)
-            .warmup(warmup)
-            .instructions(instructions);
-        if let Some(s) = sim_seed {
-            b.seed(s);
-        }
-        let cfg = b.build();
-        let harness = match InjectionHarness::prepare(&cfg) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("{e}");
-                return usage();
-            }
-        };
-        let journal_path = journal.as_ref().map(|p| {
-            std::path::PathBuf::from(format!(
-                "{p}.{}",
-                technique.to_string().to_ascii_lowercase()
-            ))
-        });
-        // Fail up front with a typed diagnostic (directory, unwritable
-        // parent, ...) instead of panicking mid-campaign.
-        if let Some(path) = &journal_path {
-            if let Err(e) = rar_inject::validate_journal_path(path) {
-                eprintln!("inject: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    for harness in harnesses {
+        let technique = harness.config().technique;
         let spec = CampaignSpec {
             samples,
             threads,
-            journal: journal_path,
+            journal: journal.as_ref().map(|base| paired_journal(base, technique)),
             limit,
             flight: flight.clone(),
             ..CampaignSpec::default()

@@ -17,7 +17,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use rar_chaos::{retry_with_backoff, RetryPolicy};
-use rar_telemetry::Counter;
+
+/// How long a connect may take.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long one socket read or write may take.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One response: status code, response headers, and the (fully drained)
 /// body.
@@ -68,38 +72,14 @@ fn is_transient(e: &io::Error) -> bool {
 #[derive(Debug, Clone)]
 pub struct ServeClient {
     addr: String,
-    connect_timeout: Duration,
-    read_timeout: Duration,
-    /// Transient transport failures absorbed by retry or reconnect.
-    retries: Counter,
 }
 
 impl ServeClient {
-    /// A client for `addr` (e.g. `127.0.0.1:7878`) with default
-    /// deadlines: 5 s to connect, 30 s per socket read/write.
+    /// A client for `addr` (e.g. `127.0.0.1:7878`) with fixed deadlines:
+    /// 5 s to connect, 30 s per socket read/write.
     #[must_use]
     pub fn new(addr: impl Into<String>) -> ServeClient {
-        ServeClient {
-            addr: addr.into(),
-            connect_timeout: Duration::from_secs(5),
-            read_timeout: Duration::from_secs(30),
-            retries: Counter::default(),
-        }
-    }
-
-    /// Overrides the connect and read/write deadlines.
-    #[must_use]
-    pub fn with_timeouts(mut self, connect: Duration, read: Duration) -> ServeClient {
-        self.connect_timeout = connect;
-        self.read_timeout = read;
-        self
-    }
-
-    /// Transient transport failures this client has absorbed so far
-    /// (retried requests, reconnected event streams).
-    #[must_use]
-    pub fn transport_retries(&self) -> u64 {
-        self.retries.get()
+        ServeClient { addr: addr.into() }
     }
 
     /// Connects with the configured deadline, trying each resolved
@@ -107,7 +87,7 @@ impl ServeClient {
     fn connect(&self) -> io::Result<TcpStream> {
         let mut last: Option<io::Error> = None;
         for addr in self.addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&addr, self.connect_timeout) {
+            match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
                 Ok(stream) => return Ok(stream),
                 Err(e) => last = Some(e),
             }
@@ -147,7 +127,7 @@ impl ServeClient {
         retry_with_backoff(
             RetryPolicy::new(5, 25, 800),
             CLIENT_RETRY_SEED,
-            Some(&self.retries),
+            None,
             |_| match self.request(method, path, body) {
                 Err(e) if is_transient(&e) => Err(e),
                 other => Ok(other),
@@ -171,8 +151,8 @@ impl ServeClient {
     ) -> io::Result<Response> {
         let mut stream = self.connect()?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.read_timeout))?;
-        stream.set_write_timeout(Some(self.read_timeout))?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         write!(
             stream,
             "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -301,7 +281,7 @@ impl ServeClient {
                         _ => return Ok(resp),
                     }
                 }
-                Err(e) if is_transient(&e) => self.retries.inc(),
+                Err(e) if is_transient(&e) => {}
                 Err(e) => return Err(e),
             }
             if Instant::now() >= deadline {
@@ -328,7 +308,6 @@ impl ServeClient {
             let resp = match self.request("GET", &format!("/v1/jobs/{id}"), "") {
                 Ok(resp) => resp,
                 Err(e) if is_transient(&e) && Instant::now() < deadline => {
-                    self.retries.inc();
                     std::thread::sleep(Duration::from_millis(50));
                     continue;
                 }

@@ -20,6 +20,21 @@ use rar_core::Technique;
 use rar_sim::SimConfig;
 use rar_trace::jsonv::{self, escape, Value};
 
+/// Most campaign threads an inject job may ask for. A fixed number, not
+/// the host's core count: journal replay parses specs with the same
+/// function, so a spec accepted on one host must replay on any other.
+pub const MAX_THREADS: u64 = 64;
+/// Most injections per technique an inject job may ask for.
+pub const MAX_SAMPLES: u64 = 1_000_000;
+/// Most cells (workloads x techniques x max(seeds, 1)) a sweep may cover.
+pub const MAX_SWEEP_CELLS: u64 = 4_096;
+/// Most `warmup + instructions` one run may ask for. One (workload, seed)
+/// key's trace prefix and refinement must fit the sweep session's 32 MiB
+/// artifact store: at this budget the largest key over every workload at
+/// seeds 1-3 (gcc, seed 2) takes 31.5 MiB, and the first budget that no
+/// longer fits is 453,286.
+pub const MAX_RUN_UOPS: u64 = 400_000;
+
 /// A job's lifecycle phase, as reported by `GET /v1/jobs/{id}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
@@ -195,7 +210,7 @@ impl JobSpec {
     ///
     /// A human-readable description of the first problem found (not a
     /// JSON object, unknown kind, missing or mistyped field, empty axis,
-    /// unknown technique).
+    /// unknown technique, a value over its `MAX_*` limit).
     pub fn parse(text: &str) -> Result<JobSpec, String> {
         let doc = jsonv::parse(text).map_err(|e| format!("job spec must be a JSON object: {e}"))?;
         JobSpec::from_value(&doc)
@@ -212,6 +227,8 @@ impl JobSpec {
         let priority = member(doc, "priority", Value::as_i64)?.unwrap_or(0);
         let instructions = u64_member("instructions")?.unwrap_or(2_000);
         let warmup = u64_member("warmup")?.unwrap_or(300);
+        let run_uops = warmup.saturating_add(instructions);
+        at_most(run_uops, "\"warmup\" + \"instructions\"", MAX_RUN_UOPS)?;
         match str_member("kind")? {
             Some("sweep") => {
                 let workloads = array_member(doc, "workloads", Value::as_str)?
@@ -221,12 +238,18 @@ impl JobSpec {
                 if workloads.is_empty() || technique_names.is_empty() {
                     return Err("sweep axes must be non-empty".to_owned());
                 }
+                let seeds = array_member(doc, "seeds", Value::as_u64)?.unwrap_or_default();
+                let cells = [workloads.len(), technique_names.len(), seeds.len().max(1)]
+                    .into_iter()
+                    .fold(1u64, |n, axis| n.saturating_mul(axis as u64));
+                let what = "sweep cells (\"workloads\" x \"techniques\" x \"seeds\")";
+                at_most(cells, what, MAX_SWEEP_CELLS)?;
                 Ok(JobSpec {
                     priority,
                     kind: JobKind::Sweep(SweepJob {
                         workloads: workloads.into_iter().map(str::to_owned).collect(),
                         techniques: parse_techniques(&technique_names)?,
-                        seeds: array_member(doc, "seeds", Value::as_u64)?.unwrap_or_default(),
+                        seeds,
                         instructions,
                         warmup,
                     }),
@@ -252,19 +275,34 @@ impl JobSpec {
                     workload: str_member("workload")?
                         .ok_or("inject requires \"workload\"")?
                         .to_owned(),
-                    samples: u64_member("samples")?.unwrap_or(1_000),
+                    samples: at_most(
+                        u64_member("samples")?.unwrap_or(1_000),
+                        "\"samples\"",
+                        MAX_SAMPLES,
+                    )?,
                     inject_seed: u64_member("inject_seed")?.unwrap_or(1),
                     instructions,
                     warmup,
-                    threads: usize::try_from(u64_member("threads")?.unwrap_or(1))
-                        .map_err(|_| "bad threads".to_owned())?
-                        .max(1),
+                    threads: at_most(
+                        u64_member("threads")?.unwrap_or(1),
+                        "\"threads\"",
+                        MAX_THREADS,
+                    )?
+                    .max(1) as usize,
                 }),
             }),
             Some(other) => Err(format!("unknown job kind {other:?}")),
             None => Err("job spec requires \"kind\"".to_owned()),
         }
     }
+}
+
+/// `n`, or an error naming `what` when `n` exceeds `max`.
+fn at_most(n: u64, what: &str, max: u64) -> Result<u64, String> {
+    if n > max {
+        return Err(format!("{what} must be at most {max}, got {n}"));
+    }
+    Ok(n)
 }
 
 fn parse_techniques(names: &[&str]) -> Result<Vec<Technique>, String> {

@@ -8,8 +8,8 @@
 //! the single-flight deduplication gate span clients: two requests for
 //! the same sweep cell cost one simulation.
 //!
-//! The queue journals submissions and terminal states to disk with the
-//! same batch-fsync JSONL discipline as rar-inject's campaign journal,
+//! The queue journals submissions and terminal states to disk through
+//! rar-inject's campaign-journal writer (`rar_inject::JournalWriter`),
 //! and both journals replay through one function
 //! (`rar_inject::journal::replay`); a killed daemon restarted on the same
 //! data directory resumes every queued or running job. Fault-injection

@@ -1,30 +1,32 @@
 //! The persistent priority job queue.
 //!
 //! Jobs are ordered by priority (higher first; ties in submission
-//! order) and journaled to disk in the same batch-fsync JSONL style as
-//! the `rar-inject` campaign journal: one `submitted` event carrying the
-//! full spec inline, and one terminal event (`completed`, `canceled`,
-//! `failed`) when the job stops mattering. A restarted daemon replays
-//! the journal and re-enqueues every job without a terminal event —
-//! which covers both jobs that were still queued and jobs that were
-//! *running* when the process died (their work-unit progress is
-//! recovered separately: sweep cells from the result cache, injections
-//! from their per-job campaign journals).
+//! order) and journaled to disk through the campaign journal's writer,
+//! [`rar_inject::JournalWriter`]: one `submitted` event carrying the
+//! full spec inline, appended and synced at once, and one terminal event
+//! (`completed`, `canceled`, `failed`) when the job stops mattering,
+//! synced in batches. A restarted daemon replays the journal and
+//! re-enqueues every job without a terminal event — which covers both
+//! jobs that were still queued and jobs that were *running* when the
+//! process died (their work-unit progress is recovered separately: sweep
+//! cells from the result cache, injections from their per-job campaign
+//! journals).
 //!
 //! Both journals replay through [`rar_inject::journal::replay`]: a
 //! malformed *final* line is a crash artifact and is skipped (and cut off
-//! by [`rar_inject::journal::reopen`] before the next append); malformed
-//! lines anywhere else are corruption and refuse to load.
+//! by [`JournalWriter::resume`] before the next append); malformed lines
+//! anywhere else are corruption and refuse to load. A failed append is
+//! cut back off by the writer, so a retried append never leaves a
+//! half-line mid-file.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fs::File;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::{Condvar, Mutex};
 
-use rar_chaos::{retry_with_backoff, sites, RetryPolicy};
-use rar_inject::journal::{reopen, replay};
+use rar_chaos::{retry_with_backoff, RetryPolicy};
+use rar_inject::JournalWriter;
 use rar_telemetry::Counter;
 
 use rar_trace::jsonv;
@@ -66,102 +68,10 @@ impl Ord for Entry {
     }
 }
 
-/// Append-only queue journal with batched fsync and torn-write rollback.
-///
-/// Every record append is length-verified and rolled back (`set_len` to
-/// the pre-append length) on any failure — torn write, silent short
-/// write, or fsync error — so a retried append can never leave a
-/// half-record mid-file that replay would refuse as corruption. The
-/// chaos fabric's torn/short/fsync fail-points live in this path.
-#[derive(Debug)]
-struct EventLog {
-    file: File,
-    pending: usize,
-    fsync_every: usize,
-}
-
-impl EventLog {
-    /// Writes `line` + newline at the end of the file, verifying the full
-    /// record landed. On any failure the file is truncated back to its
-    /// pre-append length, so the journal never holds a partial record.
-    /// Returns the pre-append length for the caller's own rollback needs.
-    fn write_record(&mut self, line: &str) -> io::Result<u64> {
-        let start = self.file.metadata()?.len();
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-        if let Err(e) = self.write_verified(&bytes, start) {
-            let _ = self.file.set_len(start);
-            return Err(e);
-        }
-        Ok(start)
-    }
-
-    fn write_verified(&mut self, bytes: &[u8], start: u64) -> io::Result<()> {
-        if let Some(hit) = rar_chaos::fire(sites::SERVE_QUEUE_JOURNAL_TORN) {
-            // Torn write: a strict prefix lands, then the write errors.
-            let cut = 1 + (hit.roll as usize) % (bytes.len() - 1);
-            self.file.write_all(&bytes[..cut])?;
-            return Err(io::Error::other("chaos: torn queue-journal append"));
-        }
-        if let Some(hit) = rar_chaos::fire(sites::SERVE_QUEUE_JOURNAL_SHORT) {
-            // Silent short write: a prefix lands and the write "succeeds";
-            // only the length verification below catches it.
-            let cut = 1 + (hit.roll as usize) % (bytes.len() - 1);
-            self.file.write_all(&bytes[..cut])?;
-        } else {
-            self.file.write_all(bytes)?;
-        }
-        let end = self.file.metadata()?.len();
-        let want = start + bytes.len() as u64;
-        if end != want {
-            return Err(io::Error::other(format!(
-                "short queue-journal append: file at {end}, expected {want}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Appends one record and pushes it to stable storage immediately,
-    /// rolling the record back if the fsync fails (an unsynced record
-    /// cannot be trusted durable, and a retry must not duplicate it).
-    fn append_durable(&mut self, line: &str) -> io::Result<()> {
-        let start = self.write_record(line)?;
-        self.pending += 1;
-        if let Err(e) = self.sync() {
-            self.pending -= 1;
-            let _ = self.file.set_len(start);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Appends one record under the batched-fsync policy (used for
-    /// terminal events, where losing the tail of the batch in a crash
-    /// merely re-runs a finished job — cheap and idempotent).
-    fn append_batched(&mut self, line: &str) -> io::Result<()> {
-        self.write_record(line)?;
-        self.pending += 1;
-        if self.pending >= self.fsync_every {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if self.pending > 0 {
-            rar_chaos::maybe_io_err(sites::SERVE_QUEUE_JOURNAL_FSYNC)?;
-            self.file.sync_data()?;
-            self.pending = 0;
-        }
-        Ok(())
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
     heap: BinaryHeap<Entry>,
-    log: Option<EventLog>,
+    log: Option<JournalWriter>,
     next_id: u64,
     closed: bool,
 }
@@ -193,7 +103,8 @@ impl JobQueue {
         let mut next_id = 1;
         let mut log = None;
         if let Some(path) = journal {
-            let (events, durable_len) = replay(path, "queue journal", parse_event)?;
+            let (events, writer) =
+                JournalWriter::resume(path, "queue journal", parse_event, fsync_every)?;
             for event in events {
                 match event {
                     QueueEvent::Submitted(job) => {
@@ -207,11 +118,7 @@ impl JobQueue {
                     QueueEvent::Terminal(id) => resumed.retain(|j| j.id != id),
                 }
             }
-            log = Some(EventLog {
-                file: reopen(path, durable_len)?,
-                pending: 0,
-                fsync_every: fsync_every.max(1),
-            });
+            log = Some(writer);
         }
         let mut heap = BinaryHeap::new();
         for job in &resumed {
@@ -339,7 +246,7 @@ impl JobQueue {
                 RetryPolicy::quick(),
                 TERMINAL_RETRY_SEED,
                 Some(&self.retries),
-                |_| log.append_batched(&line),
+                |_| log.append(&line).map(drop),
             );
             if let Err(e) = appended {
                 eprintln!("[rar-serve] queue journal append failed: {e}");

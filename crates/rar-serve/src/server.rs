@@ -51,9 +51,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rar_chaos::sites;
-use rar_core::{FaultTarget, Technique};
+use rar_core::FaultTarget;
 use rar_inject::CampaignSpec;
-use rar_sim::inject::{run_injection_campaign, InjectionHarness};
+use rar_sim::inject::{paired, paired_journal, run_injection_campaign};
 use rar_sim::sweep::RunError;
 use rar_sim::{json, SimConfig, SweepSession};
 use rar_telemetry::{
@@ -806,40 +806,35 @@ impl ServerInner {
         handle: &JobHandle,
         inject: &InjectJob,
     ) -> Result<JobPhase, HttpError> {
+        let mut b = SimConfig::builder();
+        b.workload(&inject.workload)
+            .warmup(inject.warmup)
+            .instructions(inject.instructions);
+        let harnesses = match paired(&b.build()) {
+            Ok(pair) => pair,
+            Err(e) => {
+                let mut st = lock(&handle.state, "job state")?;
+                st.error = Some(e.to_string());
+                return Ok(JobPhase::Failed);
+            }
+        };
+        let journal = self.data_dir.join(format!("inject-{}.jsonl", handle.id));
         let mut tallies = Vec::new();
-        for technique in [Technique::Ooo, Technique::Rar] {
+        for harness in &harnesses {
             if handle.cancel.is_canceled() {
                 return Ok(JobPhase::Canceled);
             }
-            let mut b = SimConfig::builder();
-            b.workload(&inject.workload)
-                .technique(technique)
-                .warmup(inject.warmup)
-                .instructions(inject.instructions);
-            let cfg = b.build();
-            let harness = match InjectionHarness::prepare(&cfg) {
-                Ok(h) => h,
-                Err(e) => {
-                    let mut st = lock(&handle.state, "job state")?;
-                    st.error = Some(e.to_string());
-                    return Ok(JobPhase::Failed);
-                }
-            };
-            let journal = self.data_dir.join(format!(
-                "inject-{}.jsonl.{}",
-                handle.id,
-                technique.to_string().to_ascii_lowercase()
-            ));
+            let technique = harness.config().technique;
             let spec = CampaignSpec {
                 samples: inject.samples,
                 threads: inject.threads,
-                journal: Some(journal),
+                journal: Some(paired_journal(&journal, technique)),
                 cancel: Some(handle.cancel.clone()),
                 flight: Some(Arc::clone(&self.flight)),
                 ..CampaignSpec::default()
             };
             let result = match run_injection_campaign(
-                &harness,
+                harness,
                 &spec,
                 inject.inject_seed,
                 None,

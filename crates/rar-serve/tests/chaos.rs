@@ -149,8 +149,8 @@ fn assert_journal_clean(scratch: &Scratch) {
 fn torn_journal_writes_converge_byte_identical() {
     let _guard = lock();
     let clean = golden();
-    let plan = ChaosPlan::single(sites::SERVE_QUEUE_JOURNAL_TORN, 2, 0).with_seed(7);
-    let (scratch, doc) = run_under(&plan, "torn", &[sites::SERVE_QUEUE_JOURNAL_TORN]);
+    let plan = ChaosPlan::single(sites::JOURNAL_TORN, 2, 0).with_seed(7);
+    let (scratch, doc) = run_under(&plan, "torn", &[sites::JOURNAL_TORN]);
     assert_eq!(clean, doc, "results diverged under torn journal writes");
     assert_journal_clean(&scratch);
 }
@@ -159,8 +159,8 @@ fn torn_journal_writes_converge_byte_identical() {
 fn short_journal_writes_converge_byte_identical() {
     let _guard = lock();
     let clean = golden();
-    let plan = ChaosPlan::single(sites::SERVE_QUEUE_JOURNAL_SHORT, 2, 0).with_seed(11);
-    let (scratch, doc) = run_under(&plan, "short", &[sites::SERVE_QUEUE_JOURNAL_SHORT]);
+    let plan = ChaosPlan::single(sites::JOURNAL_SHORT, 2, 0).with_seed(11);
+    let (scratch, doc) = run_under(&plan, "short", &[sites::JOURNAL_SHORT]);
     assert_eq!(clean, doc, "results diverged under short journal writes");
     assert_journal_clean(&scratch);
 }
@@ -169,8 +169,8 @@ fn short_journal_writes_converge_byte_identical() {
 fn journal_fsync_failures_converge_byte_identical() {
     let _guard = lock();
     let clean = golden();
-    let plan = ChaosPlan::single(sites::SERVE_QUEUE_JOURNAL_FSYNC, 2, 0).with_seed(13);
-    let (scratch, doc) = run_under(&plan, "fsync", &[sites::SERVE_QUEUE_JOURNAL_FSYNC]);
+    let plan = ChaosPlan::single(sites::JOURNAL_FSYNC, 2, 0).with_seed(13);
+    let (scratch, doc) = run_under(&plan, "fsync", &[sites::JOURNAL_FSYNC]);
     assert_eq!(clean, doc, "results diverged under fsync failures");
     assert_journal_clean(&scratch);
 }

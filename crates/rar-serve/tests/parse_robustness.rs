@@ -16,7 +16,7 @@ use rar_isa::rng::XorShift64Star;
 use rar_serve::http::{
     parse_request, Request, RequestError, MAX_BODY_BYTES, MAX_HEADER_BYTES, MAX_REQUEST_LINE,
 };
-use rar_serve::jobs::{field, u64_field};
+use rar_serve::jobs::{field, u64_field, MAX_RUN_UOPS, MAX_SAMPLES, MAX_SWEEP_CELLS, MAX_THREADS};
 use rar_serve::{JobQueue, JobSpec};
 use rar_sim::dashboard::{check_manifests, render_dashboard};
 use rar_sim::{DiskCache, SimConfig, Simulation};
@@ -113,6 +113,72 @@ fn job_specs_reject_damage_without_panicking() {
                 assert_eq!(field(&m.text, "kind"), None);
                 assert_eq!(u64_field(&m.text, "priority"), Ok(None));
             }
+        }
+    }
+}
+
+#[test]
+fn job_spec_limits_accept_the_bound_and_reject_one_past() {
+    let inject = |samples: u64, threads: u64| {
+        format!(
+            "{{\"kind\":\"inject\",\"workload\":\"mcf\",\"samples\":{samples},\
+             \"threads\":{threads}}}"
+        )
+    };
+    let single = |warmup: u64, instructions: u64| {
+        format!(
+            "{{\"kind\":\"single\",\"workload\":\"mcf\",\"warmup\":{warmup},\
+             \"instructions\":{instructions}}}"
+        )
+    };
+    let sweep = |workloads: usize, seeds: u64| {
+        let seeds: Vec<String> = (1..=seeds).map(|s| s.to_string()).collect();
+        format!(
+            "{{\"kind\":\"sweep\",\"workloads\":[{}],\"techniques\":[\"ooo\",\"rar\"],\
+             \"seeds\":[{}]}}",
+            vec!["\"mcf\""; workloads].join(","),
+            seeds.join(",")
+        )
+    };
+    let cells = MAX_SWEEP_CELLS / 4;
+    // (fields the error must name, spec at the bound, spec one past it)
+    let cases = [
+        (
+            vec!["threads"],
+            inject(1, MAX_THREADS),
+            inject(1, MAX_THREADS + 1),
+        ),
+        (
+            vec!["samples"],
+            inject(MAX_SAMPLES, 1),
+            inject(MAX_SAMPLES + 1, 1),
+        ),
+        (
+            vec!["warmup", "instructions"],
+            single(300, MAX_RUN_UOPS - 300),
+            single(300, MAX_RUN_UOPS - 299),
+        ),
+        (
+            vec!["warmup", "instructions"],
+            single(MAX_RUN_UOPS, 0),
+            single(MAX_RUN_UOPS + 1, 0),
+        ),
+        (
+            vec!["workloads", "techniques", "seeds"],
+            sweep(2, cells),
+            sweep(2, cells + 1),
+        ),
+        (
+            vec!["workloads", "techniques", "seeds"],
+            sweep(MAX_SWEEP_CELLS as usize / 2, 0),
+            sweep(MAX_SWEEP_CELLS as usize / 2 + 1, 0),
+        ),
+    ];
+    for (fields, at_bound, past) in cases {
+        JobSpec::parse(&at_bound).unwrap_or_else(|e| panic!("{at_bound}: {e}"));
+        let err = JobSpec::parse(&past).expect_err("one past the bound");
+        for name in fields {
+            assert!(err.contains(&format!("\"{name}\"")), "{err} names {name}");
         }
     }
 }

@@ -290,6 +290,17 @@ fn unknown_routes_and_jobs_are_404s_and_bad_specs_400() {
         .expect("req");
     assert_eq!(bad.status, 400);
     assert!(bad.body.contains("dance"), "{}", bad.body);
+    // Over a job-spec limit: refused before anything is queued (and this
+    // daemon has no workers to start it anyway).
+    let greedy = client
+        .request(
+            "POST",
+            "/v1/jobs",
+            "{\"kind\":\"inject\",\"workload\":\"mcf\",\"threads\":1000000}",
+        )
+        .expect("req");
+    assert_eq!(greedy.status, 400);
+    assert!(greedy.body.contains("\"threads\""), "{}", greedy.body);
 
     server.stop();
 }

@@ -85,6 +85,23 @@ impl SimConfig {
         }
         self.core.validate()?;
         self.mem.validate()?;
+        // The refinement horizon (`run::refinement_horizon`) and the
+        // watchdog's cycle budget add these two, and the horizon adds
+        // 4 x width more as a `usize`.
+        let horizon = self
+            .warmup
+            .checked_add(self.instructions)
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| n.checked_add(self.core.width.checked_mul(4)?));
+        if horizon.is_none() {
+            return Err(ConfigError::sim(
+                "instructions",
+                format!(
+                    "warmup {} + instructions {} overflows the run's uop horizon",
+                    self.warmup, self.instructions
+                ),
+            ));
+        }
         Ok(())
     }
 
@@ -263,6 +280,24 @@ mod tests {
         mem.mshrs = 0;
         let cfg = SimConfig::builder().mem(mem).build();
         assert_eq!(cfg.validate().unwrap_err().field(), "mshrs");
+
+        // A budget whose horizon overflows, as u64 or with the 4 x width
+        // slack as usize, is rejected instead of wrapping.
+        let slack = 4 * rar_core::CoreConfig::baseline().width as u64;
+        for (warmup, instructions) in [(1, u64::MAX), (u64::MAX - slack, 1)] {
+            let cfg = SimConfig::builder()
+                .warmup(warmup)
+                .instructions(instructions)
+                .build();
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.field(), "instructions");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+        let cfg = SimConfig::builder()
+            .warmup(u64::MAX - slack - 1)
+            .instructions(1)
+            .build();
+        assert_eq!(cfg.validate().is_ok(), usize::BITS == 64);
     }
 
     #[test]

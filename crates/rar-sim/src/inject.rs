@@ -31,7 +31,9 @@
 use crate::config::SimConfig;
 use crate::run::RunArtifacts;
 use rar_ace::{Structure, StructureCapacities};
-use rar_core::{Core, FaultLanding, FaultTarget, NullSink, PlannedFault, RunVerdict, SiteSampler};
+use rar_core::{
+    Core, FaultLanding, FaultTarget, NullSink, PlannedFault, RunVerdict, SiteSampler, Technique,
+};
 use rar_inject::{
     run_campaign, CampaignResult, CampaignSpec, Outcome, StratifiedTally, Stratum, TargetTally,
 };
@@ -39,6 +41,7 @@ use rar_isa::TraceWindow;
 use rar_telemetry::MetricsRegistry;
 use rar_verify::ConfigError;
 use rar_workloads::SharedTraceIter;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Cycle-budget multiple (over the golden run's cycle count) granted to
@@ -82,7 +85,11 @@ impl InjectionHarness {
     /// configuration; nothing is simulated in that case.
     pub fn prepare(cfg: &SimConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let artifacts = RunArtifacts::prepare(cfg);
+        Ok(Self::golden(cfg, RunArtifacts::prepare(cfg)))
+    }
+
+    /// Executes the golden run of a validated `cfg` over `artifacts`.
+    fn golden(cfg: &SimConfig, artifacts: RunArtifacts) -> Self {
         let mut core = artifacts.core(cfg, NullSink);
         if cfg.warmup > 0 {
             core.run_until_committed(cfg.warmup);
@@ -90,7 +97,7 @@ impl InjectionHarness {
         }
         let warmup_end = core.now();
         core.run_until_committed(cfg.instructions);
-        Ok(InjectionHarness {
+        InjectionHarness {
             cfg: cfg.clone(),
             golden_digest: core.commit_digest(),
             warmup_end,
@@ -99,7 +106,7 @@ impl InjectionHarness {
             refined_abc: core.ace().refined_abc_by_structure(),
             capacities: cfg.core.capacities(),
             artifacts,
-        })
+        }
     }
 
     /// The configuration this harness executes.
@@ -321,6 +328,39 @@ impl GoldenCheckpoints<'_> {
     }
 }
 
+/// The pair every injection experiment compares: `base`'s workload, seed,
+/// core, memory and budgets under OoO, then under RAR. Both golden runs
+/// share one trace prefix and refinement, which do not depend on the
+/// technique.
+///
+/// # Errors
+///
+/// A [`ConfigError`] if either configuration fails validation; nothing
+/// is simulated in that case.
+pub fn paired(base: &SimConfig) -> Result<[InjectionHarness; 2], ConfigError> {
+    let [ooo, rar] = [Technique::Ooo, Technique::Rar].map(|technique| SimConfig {
+        technique,
+        ..base.clone()
+    });
+    ooo.validate()?;
+    rar.validate()?;
+    let artifacts = RunArtifacts::prepare(&ooo);
+    Ok([
+        InjectionHarness::golden(&ooo, artifacts.clone()),
+        InjectionHarness::golden(&rar, artifacts),
+    ])
+}
+
+/// The journal of one technique's campaign in a pair journaled at
+/// `base`: `base` suffixed `.ooo` or `.rar`.
+#[must_use]
+pub fn paired_journal(base: &Path, technique: Technique) -> PathBuf {
+    let mut path = base.as_os_str().to_owned();
+    path.push(".");
+    path.push(technique.to_string().to_ascii_lowercase());
+    PathBuf::from(path)
+}
+
 /// Runs a full campaign of `spec.samples` injections for `harness`,
 /// sampling sites with `seed`. Each run is wall-bounded by `run_wall`
 /// (on top of the cycle-budget hang watchdog); outcomes, retries,
@@ -427,9 +467,7 @@ pub fn run_bitlive_validation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rar_core::{FaultTarget, Technique};
     use rar_inject::{load_journal, Tally};
-    use std::path::PathBuf;
 
     fn tiny_cfg(technique: Technique) -> SimConfig {
         SimConfig::builder()
@@ -453,6 +491,24 @@ mod tests {
         let plain = crate::run::Simulation::run(&cfg);
         assert_eq!(h.measured_cycles(), plain.stats.cycles);
         assert_eq!(h.unrefined_abc, plain.abc_by_structure);
+    }
+
+    #[test]
+    fn paired_matches_harnesses_prepared_one_by_one() {
+        let pair = paired(&tiny_cfg(Technique::Rar)).unwrap();
+        for (h, technique) in pair.iter().zip([Technique::Ooo, Technique::Rar]) {
+            let alone = InjectionHarness::prepare(&tiny_cfg(technique)).unwrap();
+            assert_eq!(h.config().canonical(), alone.config().canonical());
+            assert_eq!(h.golden_digest, alone.golden_digest);
+            assert_eq!(h.measured_cycles(), alone.measured_cycles());
+            assert_eq!(h.refined_abc, alone.refined_abc);
+        }
+        let bad = SimConfig::builder().workload("nope").build();
+        assert_eq!(paired(&bad).unwrap_err().field(), "workload");
+        assert_eq!(
+            paired_journal(Path::new("data/inject-3.jsonl"), Technique::Rar),
+            PathBuf::from("data/inject-3.jsonl.rar")
+        );
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub(crate) struct RunArtifacts {
 /// Dead-value analysis horizon for `cfg`: warm-up plus the measured
 /// budget plus commit-width slack (the last cycle can overshoot the
 /// budget); sequence numbers past the horizon stay conservatively live.
+/// [`SimConfig::validate`] rejects a budget for which this overflows.
 pub(crate) fn refinement_horizon(cfg: &SimConfig) -> usize {
     usize::try_from(cfg.warmup + cfg.instructions).expect("budget fits usize") + 4 * cfg.core.width
 }

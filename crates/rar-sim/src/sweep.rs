@@ -111,7 +111,7 @@ impl Watchdog {
     #[must_use]
     pub fn max_cycles(&self, cfg: &SimConfig) -> u64 {
         self.cycle_factor
-            .saturating_mul(cfg.warmup + cfg.instructions)
+            .saturating_mul(cfg.warmup.saturating_add(cfg.instructions))
             .saturating_add(self.cycle_slack)
             .max(1)
     }

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rar_chaos::{sites, ChaosPlan};
-use rar_inject::CampaignSpec;
+use rar_inject::{load_journal, CampaignSpec};
 use rar_sim::inject::{run_injection_campaign, InjectionHarness};
 use rar_sim::{json, SimConfig, SweepSession};
 
@@ -138,39 +138,66 @@ fn cache_write_errors_and_slow_io_converge_byte_identical() {
     assert_eq!(clean.0, chaotic.1);
 }
 
-#[test]
-fn campaign_journal_append_errors_converge_byte_identical() {
+/// A 40-sample journaled campaign with `site` firing on every 2nd call:
+/// the tally must equal the clean run's, the journal must hold every
+/// sample index, and a rerun over it must resume all 40 samples.
+fn journal_site_converges(site: &str, seed: u64) {
+    const SAMPLES: u64 = 40;
     let _guard = lock();
     rar_chaos::clear();
     let harness = InjectionHarness::prepare(&cfg()).expect("harness");
-    let run = |scratch: &Scratch| {
-        let spec = CampaignSpec {
-            samples: 40,
-            threads: 1,
-            journal: Some(scratch.0.join("campaign.jsonl")),
-            fsync_every: 2,
-            ..CampaignSpec::default()
-        };
-        run_injection_campaign(&harness, &spec, 7, None, None).expect("campaign")
+    let spec = |scratch: &Scratch| CampaignSpec {
+        samples: SAMPLES,
+        threads: 1,
+        journal: Some(scratch.0.join("campaign.jsonl")),
+        fsync_every: 2,
+        ..CampaignSpec::default()
     };
-
     let clean_scratch = Scratch::new("inject-clean");
-    let clean = run(&clean_scratch);
+    let clean = run_injection_campaign(&harness, &spec(&clean_scratch), 7, None, None)
+        .expect("clean campaign");
 
-    // Every other journal flush fails before any bytes land; the writer
-    // keeps the records buffered and the shared retry re-flushes them.
-    rar_chaos::install(&ChaosPlan::single(sites::INJECT_JOURNAL_APPEND_ERR, 2, 0).with_seed(13));
-    let chaos_scratch = Scratch::new("inject-chaos");
-    let chaotic = run(&chaos_scratch);
-    let fired = injected(sites::INJECT_JOURNAL_APPEND_ERR);
+    rar_chaos::install(&ChaosPlan::single(site, 2, 0).with_seed(seed));
+    let chaos_scratch = Scratch::new(&format!("inject-{site}"));
+    let chaotic = run_injection_campaign(&harness, &spec(&chaos_scratch), 7, None, None)
+        .expect("chaos campaign");
+    let fired = injected(site);
     rar_chaos::clear();
 
-    assert!(fired > 0, "journal-append fail-point never fired");
+    assert!(fired > 0, "fail-point {site} never fired");
     assert_eq!(clean.completed, chaotic.completed);
     assert_eq!(clean.failed, chaotic.failed);
     assert_eq!(
         clean.tally.to_json(),
         chaotic.tally.to_json(),
-        "injection tallies diverged under journal chaos"
+        "injection tallies diverged under {site}"
     );
+    let journal = spec(&chaos_scratch).journal.expect("journaled");
+    let mut ks: Vec<u64> = load_journal(&journal)
+        .expect("the journal replays")
+        .iter()
+        .map(|r| r.k)
+        .collect();
+    ks.sort_unstable();
+    ks.dedup();
+    assert_eq!(ks, (0..SAMPLES).collect::<Vec<_>>(), "journal under {site}");
+    let rerun = run_injection_campaign(&harness, &spec(&chaos_scratch), 7, None, None)
+        .expect("rerun over the chaos journal");
+    assert_eq!(rerun.resumed, SAMPLES, "resume under {site}");
+    assert_eq!(rerun.tally.to_json(), clean.tally.to_json());
+}
+
+#[test]
+fn torn_campaign_journal_writes_converge_byte_identical() {
+    journal_site_converges(sites::JOURNAL_TORN, 7);
+}
+
+#[test]
+fn short_campaign_journal_writes_converge_byte_identical() {
+    journal_site_converges(sites::JOURNAL_SHORT, 11);
+}
+
+#[test]
+fn campaign_journal_fsync_failures_converge_byte_identical() {
+    journal_site_converges(sites::JOURNAL_FSYNC, 13);
 }

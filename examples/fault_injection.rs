@@ -12,8 +12,8 @@
 //! cargo run --release --example fault_injection
 //! ```
 
-use rar::core::{FaultTarget, Technique};
-use rar::sim::inject::{run_injection_campaign, InjectionHarness};
+use rar::core::FaultTarget;
+use rar::sim::inject::{paired, run_injection_campaign};
 use rar::sim::SimConfig;
 use rar_inject::{CampaignSpec, TargetTally};
 
@@ -29,15 +29,14 @@ fn main() {
         ..CampaignSpec::default()
     };
 
+    let base = SimConfig::builder()
+        .workload("gems")
+        .warmup(8_000)
+        .instructions(30_000)
+        .build();
     let mut results = Vec::new();
-    for technique in [Technique::Ooo, Technique::Rar] {
-        let cfg = SimConfig::builder()
-            .workload("gems")
-            .technique(technique)
-            .warmup(8_000)
-            .instructions(30_000)
-            .build();
-        let harness = InjectionHarness::prepare(&cfg).expect("valid configuration");
+    for harness in paired(&base).expect("valid configuration") {
+        let cfg = harness.config();
         let campaign = run_injection_campaign(&harness, &spec, 2024, None, None)
             .expect("an unjournaled campaign does no I/O");
 
@@ -61,7 +60,7 @@ fn main() {
         let (avf, refined) = (avf / bits, refined / bits);
         println!(
             "{:<10} {avf:>8.3} {refined:>12.3} {:>14.3} ± {:.3}",
-            technique.to_string(),
+            cfg.technique.to_string(),
             pooled.vulnerability(),
             pooled.ci95(),
         );
